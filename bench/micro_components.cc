@@ -130,9 +130,13 @@ void BM_HimorBuild(benchmark::State& state) {
   const DiffusionModel& model = engine.model();
   Rng rng(5);
   for (auto _ : state) {
-    const HimorIndex index = HimorIndex::Build(
-        model, engine.base_hierarchy(), engine.base_lca(), 10, rng);
-    benchmark::DoNotOptimize(index.NumEntries());
+    const Result<HimorIndex> index =
+        HimorIndex::Build({.model = &model,
+                           .dendrogram = &engine.base_hierarchy(),
+                           .lca = &engine.base_lca(),
+                           .theta = 10,
+                           .seed = rng.Next()});
+    benchmark::DoNotOptimize(index->NumEntries());
   }
 }
 BENCHMARK(BM_HimorBuild)->Unit(benchmark::kMillisecond);

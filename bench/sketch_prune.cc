@@ -27,6 +27,7 @@
 
 #include "bench/bench_util.h"
 #include "common/table.h"
+#include "common/task_scheduler.h"
 #include "common/timer.h"
 
 namespace cod::bench {
@@ -82,8 +83,9 @@ int Run(int argc, char** argv) {
   CodEngine plain(data.graph, data.attributes, plain_opts);
   // Same schedule seed: both engines hold bit-identical HIMOR indexes and
   // sketches, so any answer divergence below is the prune bound's fault.
-  pruned.BuildHimorParallel(flags.seed, flags.threads);
-  plain.BuildHimorParallel(flags.seed, flags.threads);
+  TaskScheduler build_sched(flags.threads);
+  pruned.BuildHimor(flags.seed, &build_sched);
+  plain.BuildHimor(flags.seed, &build_sched);
 
   Rng query_rng(flags.seed + 17);
   const std::vector<Query> queries =

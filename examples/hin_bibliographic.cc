@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
 
   // COD on the projected graph.
   cod::CodEngine engine(projection->graph, attrs, {});
-  engine.BuildHimorParallel(/*seed=*/23);
+  engine.BuildHimor(/*seed=*/23);
   cod::QueryWorkspace ws = engine.MakeWorkspace(0);
   ws.rng() = rng;
   cod::Rng query_rng(29);

@@ -168,10 +168,10 @@ class CodEngine {
   // Builds (or rebuilds) the HIMOR index over the base hierarchy. Setup
   // step: must happen-before sharing core() across threads.
   void BuildHimor(Rng& rng) { core_->BuildHimor(rng); }
-  // Multi-threaded variant; the result depends on `seed` only, never on the
-  // thread count (see HimorIndex::BuildParallel).
-  void BuildHimorParallel(uint64_t seed, size_t num_threads = 0) {
-    core_->BuildHimorParallel(seed, num_threads);
+  // Schedule-seed form, optionally on a borrowed scheduler; the result
+  // depends on `seed` only, never on the worker count.
+  void BuildHimor(uint64_t seed, TaskScheduler* scheduler = nullptr) {
+    core_->BuildHimor(seed, scheduler);
   }
   const HimorIndex* himor() const { return core_->himor(); }
   // Index-absent degraded mode (see EngineCore::MarkIndexAbsent): CODL

@@ -1067,56 +1067,38 @@ void EngineCore::AdoptSketch(std::optional<CoverageSketchIndex> sketch) {
   }
 }
 
-void EngineCore::BuildHimor(Rng& rng) {
+Status EngineCore::TryBuildHimor(uint64_t seed, const Budget& budget,
+                                 TaskScheduler* scheduler,
+                                 const std::vector<char>* dirty,
+                                 HimorSampleCache* prev,
+                                 HimorSampleCache* next,
+                                 HimorDeltaStats* stats) {
   std::optional<CoverageSketchIndex> sketch;
-  Result<HimorIndex> built =
-      options_.component_scoped
-          ? HimorIndex::BuildScoped(model_, base_, lca_, options_.theta,
-                                    rng.Next(), options_.himor_max_rank,
-                                    Budget{}, comp_size_of_node_,
-                                    options_.sketch_bits, &sketch)
-          : HimorIndex::Build(model_, base_, lca_, options_.theta, rng,
-                              options_.himor_max_rank, Budget{},
-                              options_.sketch_bits, &sketch);
-  COD_CHECK(built.ok());
-  himor_ = std::move(built).value();
-  AdoptSketch(std::move(sketch));
-}
-
-void EngineCore::BuildHimorParallel(uint64_t seed, size_t num_threads) {
-  std::optional<CoverageSketchIndex> sketch;
-  // Under component scoping the scoped builder already seeds per source, so
-  // it is thread-count independent; num_threads is moot.
-  Result<HimorIndex> built =
-      options_.component_scoped
-          ? HimorIndex::BuildScoped(model_, base_, lca_, options_.theta,
-                                    seed, options_.himor_max_rank, Budget{},
-                                    comp_size_of_node_, options_.sketch_bits,
-                                    &sketch)
-          : HimorIndex::BuildParallel(model_, base_, lca_, options_.theta,
-                                      seed, options_.himor_max_rank,
-                                      num_threads, Budget{},
-                                      options_.sketch_bits, &sketch);
-  COD_CHECK(built.ok());
-  himor_ = std::move(built).value();
-  AdoptSketch(std::move(sketch));
-}
-
-Status EngineCore::TryBuildHimor(Rng& rng, const Budget& budget) {
-  std::optional<CoverageSketchIndex> sketch;
-  Result<HimorIndex> built =
-      options_.component_scoped
-          ? HimorIndex::BuildScoped(model_, base_, lca_, options_.theta,
-                                    rng.Next(), options_.himor_max_rank,
-                                    budget, comp_size_of_node_,
-                                    options_.sketch_bits, &sketch)
-          : HimorIndex::Build(model_, base_, lca_, options_.theta, rng,
-                              options_.himor_max_rank, budget,
-                              options_.sketch_bits, &sketch);
+  Result<HimorIndex> built = HimorIndex::Build(HimorBuildSpec{
+      .model = &model_,
+      .dendrogram = &base_,
+      .lca = &lca_,
+      .theta = options_.theta,
+      .max_rank = options_.himor_max_rank,
+      .seed = seed,
+      .budget = budget,
+      .comp_size_of_node =
+          options_.component_scoped ? &comp_size_of_node_ : nullptr,
+      .scheduler = scheduler,
+      .dirty = dirty,
+      .prev = prev,
+      .next = next,
+      .stats = stats,
+      .sketch_bits = options_.sketch_bits,
+      .sketch = &sketch});
   if (!built.ok()) return built.status();
   himor_ = std::move(built).value();
   AdoptSketch(std::move(sketch));
   return Status::Ok();
+}
+
+Status EngineCore::TryBuildHimor(Rng& rng, const Budget& budget) {
+  return TryBuildHimor(rng.Next(), budget);
 }
 
 Status EngineCore::TryBuildHimorDelta(uint64_t seed, const Budget& budget,
@@ -1124,40 +1106,21 @@ Status EngineCore::TryBuildHimorDelta(uint64_t seed, const Budget& budget,
                                       HimorSampleCache* prev,
                                       HimorSampleCache* next,
                                       HimorDeltaStats* stats) {
-  std::optional<CoverageSketchIndex> sketch;
-  Result<HimorIndex> built = HimorIndex::BuildDelta(
-      model_, base_, lca_, options_.theta, seed, options_.himor_max_rank,
-      budget, options_.component_scoped ? &comp_size_of_node_ : nullptr,
-      dirty, prev, next, stats, options_.sketch_bits, &sketch);
-  if (!built.ok()) return built.status();
-  himor_ = std::move(built).value();
-  AdoptSketch(std::move(sketch));
-  return Status::Ok();
+  return TryBuildHimor(seed, budget, nullptr, dirty, prev, next, stats);
+}
+
+void EngineCore::BuildHimor(Rng& rng) {
+  COD_CHECK(TryBuildHimor(rng, Budget{}).ok());
+}
+
+void EngineCore::BuildHimor(uint64_t seed, TaskScheduler* scheduler) {
+  COD_CHECK(TryBuildHimor(seed, Budget{}, scheduler).ok());
 }
 
 void EngineCore::MarkIndexAbsent() {
   COD_CHECK(!himor_.has_value());  // an existing index is never discarded
   sketch_.reset();  // sketch without index would be unreachable anyway
   index_absent_degraded_ = true;
-}
-
-Status EngineCore::TryBuildHimorParallel(uint64_t seed, size_t num_threads,
-                                         const Budget& budget) {
-  std::optional<CoverageSketchIndex> sketch;
-  Result<HimorIndex> built =
-      options_.component_scoped
-          ? HimorIndex::BuildScoped(model_, base_, lca_, options_.theta,
-                                    seed, options_.himor_max_rank, budget,
-                                    comp_size_of_node_, options_.sketch_bits,
-                                    &sketch)
-          : HimorIndex::BuildParallel(model_, base_, lca_, options_.theta,
-                                      seed, options_.himor_max_rank,
-                                      num_threads, budget,
-                                      options_.sketch_bits, &sketch);
-  if (!built.ok()) return built.status();
-  himor_ = std::move(built).value();
-  AdoptSketch(std::move(sketch));
-  return Status::Ok();
 }
 
 }  // namespace cod

@@ -28,8 +28,8 @@
 // built an index still fail fast (programming error), so the degraded mode
 // is explicit, never accidental.
 //
-// Construction-time mutation: BuildHimor / BuildHimorParallel / LoadHimor
-// are setup steps. They must happen-before the core is shared across
+// Construction-time mutation: BuildHimor / TryBuildHimor / LoadHimor are
+// setup steps. They must happen-before the core is shared across
 // threads (publish the shared_ptr only after setup), exactly like filling a
 // const object before handing out references.
 //
@@ -71,7 +71,7 @@ struct EngineOptions {
   TransformOptions transform;
   DiffusionKind diffusion = DiffusionKind::kIndependentCascade;
   // Largest k the HIMOR index can answer (ranks >= this are not stored;
-  // see HimorIndex::Build).
+  // see HimorBuildSpec::max_rank).
   uint32_t himor_max_rank = 16;
   // Reuse CODR hierarchies across queries with the same attribute (results
   // are identical; only timing changes — keep false for runtime benches).
@@ -85,11 +85,11 @@ struct EngineOptions {
   // query is answered as if q's connected component were the whole graph.
   // Ancestor chains are truncated at the component subtree, LORE depth
   // weights are measured relative to it, and the HIMOR index is built with
-  // per-source RNG streams and component-pure materialization
-  // (HimorIndex::BuildScoped). The payoff: a query's answer is a pure
-  // function of its component's subgraph — bit-identical no matter which
-  // other components share the engine — which is what makes sharded
-  // scatter/gather results independent of the shard count. On a connected
+  // component-pure materialization (HimorBuildSpec::comp_size_of_node).
+  // The payoff: a query's answer is a pure function of its component's
+  // subgraph — bit-identical no matter which other components share the
+  // engine — which is what makes sharded scatter/gather results
+  // independent of the shard count. On a connected
   // graph the truncation is a no-op (the component subtree IS the root).
   // Queries on singleton components short-circuit to a definitive
   // found=false. Off by default: mono serving keeps the historical
@@ -317,27 +317,35 @@ class EngineCore {
                           QueryWorkspace& ws) const;
 
   // ---- Setup-time mutators: must happen-before sharing the core. ----
-  void BuildHimor(Rng& rng);
-  // Multi-threaded variant; the result depends on `seed` only, never on the
-  // thread count (see HimorIndex::BuildParallel).
-  void BuildHimorParallel(uint64_t seed, size_t num_threads = 0);
-  // Fallible forms for the serving stack: a build that runs out of budget
-  // (or hits the "himor/build" failpoint) returns the error and leaves any
-  // previously built index untouched.
+  // Every HIMOR build below fills one HimorBuildSpec from this core's
+  // model, hierarchy, LCA index and options (theta, himor_max_rank,
+  // sketch_bits, and component scoping) and runs HimorIndex::Build. The
+  // index is a pure function of the schedule seed and the graph: the
+  // borrowed `scheduler` and the delta inputs change only latency.
+  //
+  // The fallible form: a build that runs out of `budget` (or hits the
+  // "himor/build" failpoint) returns the error and leaves any previously
+  // built index untouched. `scheduler` (optional, borrowed) runs stage 1 in
+  // fixed batches. With a valid `prev` cache plus the dirty-vertex bitmap,
+  // only samples touching dirty vertices are redrawn; `next` (optional)
+  // receives the carry state for the following epoch, and a successful
+  // reuse build consumes prev's bucket-row carry (see HimorBuildSpec).
+  Status TryBuildHimor(uint64_t seed, const Budget& budget,
+                       TaskScheduler* scheduler = nullptr,
+                       const std::vector<char>* dirty = nullptr,
+                       HimorSampleCache* prev = nullptr,
+                       HimorSampleCache* next = nullptr,
+                       HimorDeltaStats* stats = nullptr);
+  // Schedule seed = one rng.Next() draw.
   Status TryBuildHimor(Rng& rng, const Budget& budget);
-  Status TryBuildHimorParallel(uint64_t seed, size_t num_threads,
-                               const Budget& budget);
-  // Incremental build on the counter-seeded per-sample schedule (see
-  // HimorIndex::BuildDelta): with a valid `prev` cache plus the dirty-vertex
-  // bitmap, only samples touching dirty vertices are redrawn; with
-  // prev == nullptr this IS the delta-mode cold build. `next` (required)
-  // receives the carry state for the following epoch; on success the build
-  // consumes prev's bucket-row carry (moved into next). Honors
-  // options_.component_scoped like the other builders.
   Status TryBuildHimorDelta(uint64_t seed, const Budget& budget,
                             const std::vector<char>* dirty,
-                            HimorSampleCache* prev,
-                            HimorSampleCache* next, HimorDeltaStats* stats);
+                            HimorSampleCache* prev, HimorSampleCache* next,
+                            HimorDeltaStats* stats);
+  // Unbudgeted forms; they CHECK success, so arm the "himor/build"
+  // failpoint only around the Try forms.
+  void BuildHimor(Rng& rng);
+  void BuildHimor(uint64_t seed, TaskScheduler* scheduler = nullptr);
   Status LoadHimor(const std::string& path);
   // Declares that this core intentionally serves WITHOUT a HIMOR index (the
   // budgeted build failed and the epoch is being published degraded). CODL

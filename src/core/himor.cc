@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <queue>
 
 #include "common/binary_io.h"
@@ -44,11 +45,11 @@ void MergeRuns(const Run& a, const Run& b,
 
 // Stage-1 worker: samples RR graphs and performs hierarchical-first search
 // on the tree, emitting one (community, node) pair per first visit. Each
-// worker owns its scratch, so independent workers can run on a thread pool;
-// pairs are aggregated into buckets afterwards (addition commutes, so any
-// merge order works).
+// worker owns its scratch, so independent workers can run as scheduler
+// tasks; pairs are aggregated into buckets afterwards (addition commutes, so
+// any merge order works).
 //
-// The walk is split from the sampling so the delta builder can re-run it
+// The walk is split from the sampling so a reuse build can re-run it
 // over RR bytes carried from the previous epoch (RrSlabPool::View) as well
 // as over freshly drawn RrGraphs — both expose nodes[] / NeighborsOf().
 class TreeHfsSampler {
@@ -174,37 +175,39 @@ class TreeHfsSampler {
 
   const RrGraph& last_rr() const { return rr_; }
 
-  // Returns kOk, or the first exhausted-budget/abort code observed. The
-  // budget is polled once per source (a source's theta RR graphs are the
-  // check interval); `abort_code`, when non-null, is shared across parallel
-  // workers so one worker's failure stops the rest at their next source.
-  // Sample (source, t) draws from Rng(RrSampleSeed(seed, source * theta +
-  // t)) — the one schedule every HIMOR builder shares, so any source range
-  // partition (serial, batched, per-source) produces identical bytes.
+  // Stage 1 over sources [begin, end): sample (source, t) draws from
+  // Rng(RrSampleSeed(seed, source * theta + t)) — the one schedule, so any
+  // partition of the sources into ranges produces identical bytes. Tag
+  // pairs go to `pairs`; a non-null `cache` also records each sample's RR
+  // bytes and (pos, tag, node) records, pushing the sample's end offset
+  // onto cache->pair_begin. Returns kOk, or the first exhausted-budget/abort
+  // code observed: the budget is polled once per source, and `abort_code`
+  // is shared across batches so one batch's failure stops the rest at
+  // their next source.
   StatusCode ProcessSources(NodeId begin, NodeId end, uint32_t theta,
                             uint64_t seed,
                             std::vector<std::pair<CommunityId, NodeId>>* pairs,
-                            const Budget& budget,
+                            HimorSampleCache* cache, const Budget& budget,
                             std::atomic<int>* abort_code) {
     for (NodeId source = begin; source < end; ++source) {
-      if (abort_code != nullptr) {
-        const int aborted = abort_code->load(std::memory_order_relaxed);
-        if (aborted != 0) return static_cast<StatusCode>(aborted);
-      }
+      const int aborted = abort_code->load(std::memory_order_relaxed);
+      if (aborted != 0) return static_cast<StatusCode>(aborted);
       const StatusCode budget_code = budget.ExhaustedCode();
       if (budget_code != StatusCode::kOk) {
-        if (abort_code != nullptr) {
-          int expected = 0;
-          abort_code->compare_exchange_strong(expected,
-                                             static_cast<int>(budget_code),
-                                             std::memory_order_relaxed);
-        }
+        int expected = 0;
+        abort_code->compare_exchange_strong(expected,
+                                           static_cast<int>(budget_code),
+                                           std::memory_order_relaxed);
         return budget_code;
       }
       BeginSource(source);
       for (uint32_t t = 0; t < theta; ++t) {
         Rng rng(RrSampleSeed(seed, uint64_t{source} * theta + t));
-        SampleAndWalk(rng, pairs, /*cache=*/nullptr);
+        SampleAndWalk(rng, pairs, cache);
+        if (cache != nullptr) {
+          cache->rr.Append(rr_);
+          cache->pair_begin.push_back(cache->pair_node.size());
+        }
       }
     }
     return StatusCode::kOk;
@@ -227,10 +230,10 @@ class TreeHfsSampler {
 
 // Error for a build aborted with the (non-ok) budget code recorded at the
 // check site — never re-polls the budget, which may have changed since.
-Status BudgetStatus(StatusCode code, const char* what) {
+Status BudgetStatus(StatusCode code) {
   return code == StatusCode::kCancelled
-             ? Status::Cancelled(std::string(what) + " cancelled")
-             : Status::Timeout(std::string(what) + " deadline exceeded");
+             ? Status::Cancelled("HIMOR build cancelled")
+             : Status::Timeout("HIMOR build deadline exceeded");
 }
 
 // Member-set fingerprint of a leaf. Internal vertices sum (mod 2^64) their
@@ -241,39 +244,39 @@ uint64_t LeafFingerprint(NodeId v) {
   return SplitMix64(mix);
 }
 
-// Shared sketch co-build gate. An armed "influence/sketch_build" failpoint
-// (or sketch_bits == 0, or no output slot) drops the sketch while the index
-// itself still builds — sketch loss degrades pruning, never correctness.
-std::optional<CoverageSketchBuilder> MaybeSketchBuilder(
-    const Dendrogram& dendrogram, uint64_t schedule_seed, uint32_t theta,
-    uint32_t max_rank, uint32_t sketch_bits,
-    std::optional<CoverageSketchIndex>* sketch) {
-  if (sketch != nullptr) sketch->reset();
-  if (sketch == nullptr || sketch_bits == 0 ||
-      COD_FAILPOINT("influence/sketch_build")) {
-    return std::nullopt;
-  }
-  return std::make_optional<CoverageSketchBuilder>(
-      dendrogram.NumVertices(), dendrogram.NumLeaves(), schedule_seed, theta,
-      sketch_bits, max_rank);
-}
+// Raw (community, node) tag pairs of one stage-1 source batch.
+using TagPairs = std::vector<std::pair<CommunityId, NodeId>>;
 
-}  // namespace
+// Stage-1 output in community-major CSR form: bucket c's aggregated
+// (node, count) items live at [item_begin[c], item_begin[c + 1]).
+struct BucketTable {
+  std::vector<size_t> item_begin;  // num_vertices + 1
+  std::vector<NodeId> node;
+  std::vector<uint32_t> count;
+};
 
-HimorIndex::BucketTable HimorIndex::BuildBuckets(
-    std::span<const std::pair<CommunityId, NodeId>> pairs,
-    size_t num_vertices, size_t num_nodes) {
+// Aggregates tag pairs into the CSR bucket table: a counting sort by
+// community, then per-segment dedup with node stamps. `for_each_pair(fn)`
+// must call fn(community, node) for every pair, in the same order on each
+// of its two calls; reading the pairs where they already live means no
+// concatenated copy of them is ever made.
+template <typename ForEachPair>
+BucketTable BuildBuckets(ForEachPair&& for_each_pair, size_t num_vertices,
+                         size_t num_nodes) {
   BucketTable table;
   table.item_begin.assign(num_vertices + 1, 0);
 
   // Counting sort of the tag pairs by community.
   std::vector<size_t> start(num_vertices + 1, 0);
-  for (const auto& [community, node] : pairs) ++start[community + 1];
+  for_each_pair(
+      [&](CommunityId community, NodeId) { ++start[community + 1]; });
   for (size_t c = 1; c <= num_vertices; ++c) start[c] += start[c - 1];
-  std::vector<NodeId> sorted(pairs.size());
+  std::vector<NodeId> sorted(start[num_vertices]);
   {
     std::vector<size_t> cursor(start.begin(), start.end() - 1);
-    for (const auto& [community, node] : pairs) sorted[cursor[community]++] = node;
+    for_each_pair([&](CommunityId community, NodeId node) {
+      sorted[cursor[community]++] = node;
+    });
   }
 
   // Per-community aggregation: node stamps (token = community + 1, unique
@@ -299,22 +302,115 @@ HimorIndex::BucketTable HimorIndex::BuildBuckets(
   return table;
 }
 
-// Stage 2 core, templated over the bucket-item source: `items_of(c, emit)`
-// must call emit(node, count) once per aggregated bucket item of community
-// c (non-leaf communities only; emission order within a bucket is free —
-// `updated` is re-sorted and the accumulators commute). The batch builders
-// feed it a BucketTable; the delta builder feeds it the fingerprint-keyed
-// rows it maintains incrementally.
+// Aggregates the tag pairs of stage-1 batches, read in batch order.
+BucketTable BucketsFromBatches(std::span<const TagPairs> batches,
+                               size_t num_vertices, size_t num_nodes) {
+  return BuildBuckets(
+      [batches](auto&& fn) {
+        for (const TagPairs& pairs : batches) {
+          for (const auto& [community, node] : pairs) fn(community, node);
+        }
+      },
+      num_vertices, num_nodes);
+}
+
+// Aggregates the tag pairs a cache records, in sample order: a pair's
+// community is its source's ancestor at the pair's leaf-up tag position.
+// This is the order the walk emitted them in, so the table equals the one
+// built from the raw pairs.
+BucketTable BucketsFromCache(const HimorSampleCache& cache,
+                             const Dendrogram& dendrogram) {
+  const size_t n = dendrogram.NumLeaves();
+  const uint32_t theta = cache.theta;
+  std::vector<CommunityId> chain;  // leaf-up ancestors of one source
+  return BuildBuckets(
+      [&](auto&& fn) {
+        for (NodeId source = 0; source < n; ++source) {
+          chain.clear();
+          for (CommunityId c = dendrogram.Parent(dendrogram.LeafOf(source));
+               c != kInvalidCommunity; c = dendrogram.Parent(c)) {
+            chain.push_back(c);
+          }
+          const uint64_t pb = cache.pair_begin[uint64_t{source} * theta];
+          const uint64_t pe = cache.pair_begin[uint64_t{source + 1} * theta];
+          for (uint64_t k = pb; k < pe; ++k) {
+            fn(chain[cache.pair_tag[k]], cache.pair_node[k]);
+          }
+        }
+      },
+      dendrogram.NumVertices(), n);
+}
+
+// Stage-2 item source over a bucket table.
+auto TableItems(const BucketTable& buckets) {
+  return [&buckets](CommunityId c, auto&& emit) {
+    for (size_t i = buckets.item_begin[c]; i < buckets.item_begin[c + 1];
+         ++i) {
+      emit(buckets.node[i], buckets.count[i]);
+    }
+  };
+}
+
+// Converts a freshly aggregated bucket table into the fingerprint-keyed
+// rows the next reuse build carries forward (cold builds, and reuse builds
+// whose delta volume makes re-aggregation the cheaper move).
+void RowsFromBuckets(const BucketTable& buckets, HimorSampleCache* next) {
+  next->rows.clear();
+  for (CommunityId c = 0; c + 1 < buckets.item_begin.size(); ++c) {
+    const size_t ib = buckets.item_begin[c];
+    const size_t ie = buckets.item_begin[c + 1];
+    if (ib == ie) continue;
+    HimorSampleCache::BucketRow& row = next->rows[next->set_hash[c]];
+    row.node.insert(row.node.end(), buckets.node.begin() + ib,
+                    buckets.node.begin() + ie);
+    row.count.insert(row.count.end(), buckets.count.begin() + ib,
+                     buckets.count.begin() + ie);
+  }
+}
+
+// Appends one stage-1 batch's recorded samples to `next` and frees the
+// batch. `part.pair_begin` holds batch-local sample END offsets.
+void SpliceBatchCache(HimorSampleCache& part, HimorSampleCache* next) {
+  next->rr.AppendPool(part.rr);
+  const uint64_t base = next->pair_node.size();
+  for (const uint64_t end : part.pair_begin) {
+    next->pair_begin.push_back(base + end);
+  }
+  next->pair_pos.insert(next->pair_pos.end(), part.pair_pos.begin(),
+                        part.pair_pos.end());
+  next->pair_tag.insert(next->pair_tag.end(), part.pair_tag.begin(),
+                        part.pair_tag.end());
+  next->pair_node.insert(next->pair_node.end(), part.pair_node.begin(),
+                         part.pair_node.end());
+  part = HimorSampleCache{};
+}
+
+}  // namespace
+
+// Stage 2 core. Internal vertex ids increase bottom-up (children precede
+// parents), so one ascending sweep is a valid post-order. Emission order
+// within a bucket is free: `updated` is re-sorted and the accumulators
+// commute.
 template <typename ItemsOf>
-HimorIndex HimorIndex::BuildFromItems(
-    const Dendrogram& dendrogram, uint32_t max_rank, ItemsOf&& items_of,
-    const std::vector<uint32_t>* comp_size_of_node,
-    CoverageSketchBuilder* sketch) {
+HimorIndex HimorIndex::MergeBuckets(const HimorBuildSpec& spec,
+                                    ItemsOf&& items_of) {
+  const Dendrogram& dendrogram = *spec.dendrogram;
+  const uint32_t max_rank = spec.max_rank;
+  const std::vector<uint32_t>* comp_size_of_node = spec.comp_size_of_node;
+  // Sketch co-build gate. An armed "influence/sketch_build" failpoint (or
+  // sketch_bits == 0, or no output slot) drops the sketch while the index
+  // itself still builds.
+  std::optional<CoverageSketchBuilder> sketch_builder;
+  if (spec.sketch != nullptr && spec.sketch_bits != 0 &&
+      !COD_FAILPOINT("influence/sketch_build")) {
+    sketch_builder.emplace(dendrogram.NumVertices(), dendrogram.NumLeaves(),
+                           spec.seed, spec.theta, spec.sketch_bits, max_rank);
+  }
+  CoverageSketchBuilder* sketch =
+      sketch_builder.has_value() ? &*sketch_builder : nullptr;
+
   const size_t n = dendrogram.NumLeaves();
   const size_t num_vertices = dendrogram.NumVertices();
-  // ---- Stage 2: bottom-up merge of tree-structured buckets. ----
-  // Internal vertex ids increase bottom-up (children precede parents), so a
-  // simple ascending sweep is a valid post-order replacement.
   std::vector<Run> runs(num_vertices);
   std::vector<uint32_t> acc(n, 0);        // cumulative count along each
                                           // node's processed chain
@@ -414,6 +510,8 @@ HimorIndex HimorIndex::BuildFromItems(
     runs[c] = std::move(merged);
   }
 
+  if (sketch_builder.has_value()) *spec.sketch = sketch_builder->Finish();
+
   // ---- CSR-pack the per-node entry lists. ----
   HimorIndex index;
   index.max_rank_ = max_rank;
@@ -429,315 +527,166 @@ HimorIndex HimorIndex::BuildFromItems(
   return index;
 }
 
-// Stage 2 entry point shared by the batch builders.
-HimorIndex HimorIndex::BuildFromBuckets(
-    const Dendrogram& dendrogram, uint32_t max_rank,
-    const BucketTable& buckets,
-    const std::vector<uint32_t>* comp_size_of_node,
-    CoverageSketchBuilder* sketch) {
-  return BuildFromItems(
-      dendrogram, max_rank,
-      [&buckets](CommunityId c, auto&& emit) {
-        for (size_t i = buckets.item_begin[c]; i < buckets.item_begin[c + 1];
-             ++i) {
-          emit(buckets.node[i], buckets.count[i]);
+
+Result<HimorIndex> HimorIndex::Build(const HimorBuildSpec& spec) {
+  COD_CHECK(spec.model != nullptr && spec.dendrogram != nullptr &&
+            spec.lca != nullptr);
+  COD_CHECK(spec.theta > 0);
+  COD_CHECK(spec.max_rank > 0);
+  const Dendrogram& dendrogram = *spec.dendrogram;
+  const size_t n = spec.model->graph().NumNodes();
+  COD_CHECK_EQ(n, dendrogram.NumLeaves());
+  if (spec.comp_size_of_node != nullptr) {
+    COD_CHECK_EQ(n, spec.comp_size_of_node->size());
+  }
+  COD_CHECK(spec.next == nullptr || spec.next != spec.prev);
+  if (spec.sketch != nullptr) spec.sketch->reset();
+  if (COD_FAILPOINT("himor/build")) {
+    return Status::IoError("failpoint himor/build armed");
+  }
+
+  const uint64_t num_samples = uint64_t{n} * spec.theta;
+  if (HimorSampleCache* next = spec.next; next != nullptr) {
+    // `next` becomes valid only once the build fully succeeds.
+    next->valid = false;
+    next->theta = spec.theta;
+    next->seed = spec.seed;
+    next->max_rank = spec.max_rank;
+    next->num_leaves = n;
+    next->rr.Clear();
+    next->rows.clear();
+    next->pair_begin.clear();
+    next->pair_begin.reserve(num_samples + 1);
+    next->pair_begin.push_back(0);
+    next->pair_pos.clear();
+    next->pair_tag.clear();
+    next->pair_node.clear();
+    // New dendrogram shape + member-set fingerprints, carried for the
+    // following epoch and matched against prev's by a reuse build.
+    const size_t num_vertices = dendrogram.NumVertices();
+    next->parent.resize(num_vertices);
+    next->set_hash.resize(num_vertices);
+    next->set_size.resize(num_vertices);
+    for (CommunityId c = 0; c < num_vertices; ++c) {
+      next->parent[c] = dendrogram.Parent(c);
+      next->set_size[c] = dendrogram.LeafCount(c);
+      if (dendrogram.IsLeaf(c)) {
+        next->set_hash[c] = LeafFingerprint(dendrogram.LeafNode(c));
+      } else {
+        uint64_t h = 0;
+        for (CommunityId child : dendrogram.Children(c)) {
+          h += next->set_hash[child];
         }
-      },
-      comp_size_of_node, sketch);
-}
-
-HimorIndex HimorIndex::Build(const DiffusionModel& model,
-                             const Dendrogram& dendrogram, const LcaIndex& lca,
-                             uint32_t theta, Rng& rng, uint32_t max_rank) {
-  Result<HimorIndex> built =
-      Build(model, dendrogram, lca, theta, rng, max_rank, Budget{});
-  COD_CHECK(built.ok());  // infinite budget: only an armed failpoint fails
-  return std::move(built).value();
-}
-
-HimorIndex HimorIndex::BuildParallel(const DiffusionModel& model,
-                                     const Dendrogram& dendrogram,
-                                     const LcaIndex& lca, uint32_t theta,
-                                     uint64_t seed, uint32_t max_rank,
-                                     size_t num_threads) {
-  Result<HimorIndex> built = BuildParallel(model, dendrogram, lca, theta,
-                                           seed, max_rank, num_threads,
-                                           Budget{});
-  COD_CHECK(built.ok());
-  return std::move(built).value();
-}
-
-Result<HimorIndex> HimorIndex::Build(const DiffusionModel& model,
-                                     const Dendrogram& dendrogram,
-                                     const LcaIndex& lca, uint32_t theta,
-                                     Rng& rng, uint32_t max_rank,
-                                     const Budget& budget,
-                                     uint32_t sketch_bits,
-                                     std::optional<CoverageSketchIndex>*
-                                         sketch) {
-  COD_CHECK(theta > 0);
-  COD_CHECK(max_rank > 0);
-  COD_CHECK_EQ(model.graph().NumNodes(), dendrogram.NumLeaves());
-  if (sketch != nullptr) sketch->reset();
-  if (COD_FAILPOINT("himor/build")) {
-    return Status::IoError("failpoint himor/build armed");
+        next->set_hash[c] = h;
+      }
+    }
   }
 
-  // The entire build runs off one schedule seed — the only draw taken from
-  // the caller's rng.
-  const uint64_t seed = rng.Next();
-  TreeHfsSampler worker(model, dendrogram, lca);
-  std::vector<std::pair<CommunityId, NodeId>> pairs;
-  const StatusCode code = worker.ProcessSources(
-      0, static_cast<NodeId>(model.graph().NumNodes()), theta, seed, &pairs,
-      budget, /*abort_code=*/nullptr);
-  if (code != StatusCode::kOk) return BudgetStatus(code, "HIMOR build");
-  std::optional<CoverageSketchBuilder> sb =
-      MaybeSketchBuilder(dendrogram, seed, theta, max_rank, sketch_bits,
-                         sketch);
-  const BucketTable buckets =
-      BuildBuckets(pairs, dendrogram.NumVertices(), dendrogram.NumLeaves());
-  HimorIndex index = BuildFromBuckets(dendrogram, max_rank, buckets,
-                                      /*comp_size_of_node=*/nullptr,
-                                      sb ? &*sb : nullptr);
-  if (sb) *sketch = sb->Finish();
+  // A previous-epoch cache is only consulted when it was produced by the
+  // same (theta, seed, max_rank) schedule on a same-sized graph, together
+  // with a dirty bitmap relating the two graphs and a `next` to carry the
+  // result. The rows check is defensive: a cache whose bucket rows were
+  // already consumed must never re-enter the reuse path. Anything else
+  // (including a node-count change, which invalidates the whole id space)
+  // samples everything.
+  const HimorSampleCache* prev = spec.prev;
+  const bool reusable =
+      prev != nullptr && spec.next != nullptr && prev->valid &&
+      prev->theta == spec.theta && prev->seed == spec.seed &&
+      prev->max_rank == spec.max_rank && prev->num_leaves == n &&
+      prev->rr.NumSamples() == num_samples &&
+      prev->pair_begin.size() == num_samples + 1 && !prev->rows.empty() &&
+      spec.dirty != nullptr && spec.dirty->size() == n;
+  Result<HimorIndex> index = reusable ? BuildReusing(spec) : BuildCold(spec);
+  if (index.ok() && spec.next != nullptr) spec.next->valid = true;
   return index;
 }
 
-Result<HimorIndex> HimorIndex::BuildScoped(
-    const DiffusionModel& model, const Dendrogram& dendrogram,
-    const LcaIndex& lca, uint32_t theta, uint64_t seed, uint32_t max_rank,
-    const Budget& budget, const std::vector<uint32_t>& comp_size_of_node,
-    uint32_t sketch_bits, std::optional<CoverageSketchIndex>* sketch) {
-  COD_CHECK(theta > 0);
-  COD_CHECK(max_rank > 0);
-  const size_t n = model.graph().NumNodes();
-  COD_CHECK_EQ(n, dendrogram.NumLeaves());
-  COD_CHECK_EQ(n, comp_size_of_node.size());
-  if (sketch != nullptr) sketch->reset();
-  if (COD_FAILPOINT("himor/build")) {
-    return Status::IoError("failpoint himor/build armed");
-  }
+Result<HimorIndex> HimorIndex::BuildCold(const HimorBuildSpec& spec) {
+  const Dendrogram& dendrogram = *spec.dendrogram;
+  const size_t n = dendrogram.NumLeaves();
+  HimorSampleCache* next = spec.next;
 
-  // The source-keyed schedule already gives every source its private
-  // sample streams — a source's samples never depend on how many RR graphs
-  // other sources (possibly in other components) drew before it.
-  // ProcessSources polls the budget once per source, the serial builder's
-  // check cadence.
-  TreeHfsSampler worker(model, dendrogram, lca);
-  std::vector<std::pair<CommunityId, NodeId>> pairs;
-  const StatusCode code =
-      worker.ProcessSources(0, static_cast<NodeId>(n), theta, seed, &pairs,
-                            budget, /*abort_code=*/nullptr);
-  if (code != StatusCode::kOk) {
-    return BudgetStatus(code, "HIMOR scoped build");
-  }
-  std::optional<CoverageSketchBuilder> sb =
-      MaybeSketchBuilder(dendrogram, seed, theta, max_rank, sketch_bits,
-                         sketch);
-  const BucketTable buckets = BuildBuckets(pairs, dendrogram.NumVertices(), n);
-  HimorIndex index = BuildFromBuckets(dendrogram, max_rank, buckets,
-                                      &comp_size_of_node,
-                                      sb ? &*sb : nullptr);
-  if (sb) *sketch = sb->Finish();
-  return index;
-}
-
-Result<HimorIndex> HimorIndex::BuildParallel(const DiffusionModel& model,
-                                             const Dendrogram& dendrogram,
-                                             const LcaIndex& lca,
-                                             uint32_t theta, uint64_t seed,
-                                             uint32_t max_rank,
-                                             size_t num_threads,
-                                             const Budget& budget,
-                                             uint32_t sketch_bits,
-                                             std::optional<CoverageSketchIndex>*
-                                                 sketch) {
-  COD_CHECK(theta > 0);
-  COD_CHECK(max_rank > 0);
-  const size_t n = model.graph().NumNodes();
-  COD_CHECK_EQ(n, dendrogram.NumLeaves());
-  if (sketch != nullptr) sketch->reset();
-  if (COD_FAILPOINT("himor/build")) {
-    return Status::IoError("failpoint himor/build armed");
-  }
-
-  // Fixed batching (independent of thread count) over the source-keyed
-  // sample schedule makes the result a pure function of (seed, theta):
-  // running with 1 or 16 threads produces the identical index, and it is
-  // byte-identical to the serial Build at the same schedule seed.
-  const size_t num_batches = std::min<size_t>(64, n);
-  std::vector<std::vector<std::pair<CommunityId, NodeId>>> batch_pairs(
-      num_batches);
+  // Without a scheduler the sources form one batch run inline. With one,
+  // they split into a FIXED number of batches (independent of the worker
+  // count) merged in batch order, so the result is byte-identical to the
+  // inline build. Each batch records its samples in a private cache; the
+  // task that finishes the oldest unspliced batch appends every finished
+  // batch from there into `next` and frees it, so only batches finished
+  // out of order are ever held twice.
+  const size_t num_batches =
+      spec.scheduler == nullptr ? 1 : std::min<size_t>(64, n);
+  // A build that records a cache reads its tag pairs back from the cache,
+  // so it keeps no raw pair vectors.
+  std::vector<TagPairs> pairs(next == nullptr ? num_batches : 0);
+  std::vector<HimorSampleCache> parts(
+      next != nullptr && num_batches > 1 ? num_batches : 0);
+  std::vector<char> part_done(parts.size(), 0);
+  size_t parts_spliced = 0;
+  std::mutex splice_mu;
   std::atomic<int> abort_code{0};
-  {
-    // A build-local scheduler: index construction owns its threads for the
-    // duration (callers embedding the build in a serving process submit the
-    // whole build as one rebuild-priority task on the serving scheduler).
-    TaskScheduler scheduler(num_threads);
-    TaskGroup group(scheduler);
+  const auto run_batch = [&](size_t b) {
+    TreeHfsSampler worker(*spec.model, dendrogram, *spec.lca);
+    const NodeId begin = static_cast<NodeId>(b * n / num_batches);
+    const NodeId end = static_cast<NodeId>((b + 1) * n / num_batches);
+    worker.ProcessSources(begin, end, spec.theta, spec.seed,
+                          pairs.empty() ? nullptr : &pairs[b],
+                          parts.empty() ? next : &parts[b], spec.budget,
+                          &abort_code);
+    if (parts.empty()) return;
+    std::lock_guard<std::mutex> lock(splice_mu);
+    part_done[b] = 1;
+    for (; parts_spliced < parts.size() && part_done[parts_spliced];
+         ++parts_spliced) {
+      SpliceBatchCache(parts[parts_spliced], next);
+    }
+  };
+  if (spec.scheduler == nullptr) {
+    run_batch(0);
+  } else {
+    TaskGroup group(*spec.scheduler);
     for (size_t b = 0; b < num_batches; ++b) {
-      scheduler.Submit(TaskPriority::kRebuild, group, [&, b] {
-        TreeHfsSampler worker(model, dendrogram, lca);
-        const NodeId begin = static_cast<NodeId>(b * n / num_batches);
-        const NodeId end = static_cast<NodeId>((b + 1) * n / num_batches);
-        worker.ProcessSources(begin, end, theta, seed, &batch_pairs[b],
-                              budget, &abort_code);
-      });
+      spec.scheduler->Submit(TaskPriority::kRebuild, group,
+                             [&run_batch, b] { run_batch(b); });
     }
     group.Wait();
   }
   const int aborted = abort_code.load(std::memory_order_relaxed);
   if (aborted != 0) {
-    // Budget failures are all-or-nothing: partial batches are discarded so a
-    // successful build is always the same deterministic index.
-    return BudgetStatus(static_cast<StatusCode>(aborted),
-                        "HIMOR parallel build");
+    // All-or-nothing: partial batches are discarded, so a successful build
+    // is always the same deterministic index.
+    return BudgetStatus(static_cast<StatusCode>(aborted));
   }
-  std::vector<std::pair<CommunityId, NodeId>> pairs;
-  {
-    size_t total = 0;
-    for (const auto& batch : batch_pairs) total += batch.size();
-    pairs.reserve(total);
-    for (const auto& batch : batch_pairs) {
-      pairs.insert(pairs.end(), batch.begin(), batch.end());
-    }
+
+  BucketTable buckets;
+  if (next == nullptr) {
+    buckets = BucketsFromBatches(pairs, dendrogram.NumVertices(), n);
+    std::vector<TagPairs>().swap(pairs);  // stage 2 never reads raw pairs
+  } else {
+    buckets = BucketsFromCache(*next, dendrogram);
+    RowsFromBuckets(buckets, next);
   }
-  std::optional<CoverageSketchBuilder> sb =
-      MaybeSketchBuilder(dendrogram, seed, theta, max_rank, sketch_bits,
-                         sketch);
-  const BucketTable buckets = BuildBuckets(pairs, dendrogram.NumVertices(), n);
-  HimorIndex index = BuildFromBuckets(dendrogram, max_rank, buckets,
-                                      /*comp_size_of_node=*/nullptr,
-                                      sb ? &*sb : nullptr);
-  if (sb) *sketch = sb->Finish();
-  return index;
+  if (spec.stats != nullptr) {
+    const uint64_t num_samples = uint64_t{n} * spec.theta;
+    *spec.stats = HimorDeltaStats{num_samples, num_samples, 0, 0};
+  }
+  return MergeBuckets(spec, TableItems(buckets));
 }
 
-Result<HimorIndex> HimorIndex::BuildDelta(
-    const DiffusionModel& model, const Dendrogram& dendrogram,
-    const LcaIndex& lca, uint32_t theta, uint64_t seed, uint32_t max_rank,
-    const Budget& budget, const std::vector<uint32_t>* comp_size_of_node,
-    const std::vector<char>* dirty, HimorSampleCache* prev,
-    HimorSampleCache* next, HimorDeltaStats* stats,
-    uint32_t sketch_bits, std::optional<CoverageSketchIndex>* sketch) {
-  COD_CHECK(theta > 0);
-  COD_CHECK(max_rank > 0);
-  const size_t n = model.graph().NumNodes();
-  COD_CHECK_EQ(n, dendrogram.NumLeaves());
-  COD_CHECK(next != nullptr);
-  COD_CHECK(next != prev);
-  if (comp_size_of_node != nullptr) {
-    COD_CHECK_EQ(n, comp_size_of_node->size());
-  }
-  if (sketch != nullptr) sketch->reset();
-  if (COD_FAILPOINT("himor/build")) {
-    return Status::IoError("failpoint himor/build armed");
-  }
-
+Result<HimorIndex> HimorIndex::BuildReusing(const HimorBuildSpec& spec) {
+  const Dendrogram& dendrogram = *spec.dendrogram;
+  const uint32_t theta = spec.theta;
+  const uint64_t seed = spec.seed;
+  const Budget& budget = spec.budget;
+  const std::vector<char>* dirty = spec.dirty;
+  HimorSampleCache* prev = spec.prev;
+  HimorSampleCache* next = spec.next;
+  const size_t n = dendrogram.NumLeaves();
   const uint64_t num_samples = uint64_t{n} * theta;
-
-  // `next` is valid only once the build fully succeeds.
-  next->valid = false;
-  next->theta = theta;
-  next->seed = seed;
-  next->max_rank = max_rank;
-  next->num_leaves = n;
-  next->rr.Clear();
-  next->rows.clear();
-  next->pair_begin.clear();
-  next->pair_begin.reserve(num_samples + 1);
-  next->pair_begin.push_back(0);
-  next->pair_pos.clear();
-  next->pair_tag.clear();
-  next->pair_node.clear();
-
-  // A previous-epoch cache is only consulted when it was produced by the
-  // same (theta, seed, max_rank) schedule on a same-sized graph, together
-  // with a dirty bitmap relating the two graphs. The rows check is
-  // defensive: a cache whose bucket rows were already consumed must never
-  // re-enter the reuse path. Anything else (including a node-count change,
-  // which invalidates the whole id space) falls back to sampling
-  // everything — which is exactly the cold build.
-  const bool reusable =
-      prev != nullptr && prev->valid && prev->theta == theta &&
-      prev->seed == seed && prev->max_rank == max_rank &&
-      prev->num_leaves == n && prev->rr.NumSamples() == num_samples &&
-      prev->pair_begin.size() == num_samples + 1 && !prev->rows.empty() &&
-      dirty != nullptr && dirty->size() == n;
-
-  // New dendrogram shape + member-set fingerprints: carried in `next` for
-  // the following epoch, and matched against `prev`'s below.
-  const size_t num_vertices = dendrogram.NumVertices();
-  next->parent.resize(num_vertices);
-  next->set_hash.resize(num_vertices);
-  next->set_size.resize(num_vertices);
-  for (CommunityId c = 0; c < num_vertices; ++c) {
-    next->parent[c] = dendrogram.Parent(c);
-    next->set_size[c] = dendrogram.LeafCount(c);
-    if (dendrogram.IsLeaf(c)) {
-      next->set_hash[c] = LeafFingerprint(dendrogram.LeafNode(c));
-    } else {
-      uint64_t h = 0;
-      for (CommunityId child : dendrogram.Children(c)) {
-        h += next->set_hash[child];
-      }
-      next->set_hash[c] = h;
-    }
-  }
-
-  TreeHfsSampler worker(model, dendrogram, lca);
+  TreeHfsSampler worker(*spec.model, dendrogram, *spec.lca);
   HimorDeltaStats tally;
   tally.samples_total = num_samples;
 
-  // Converts a freshly aggregated bucket table into the fingerprint-keyed
-  // rows the next delta build carries forward (cold builds, and incremental
-  // builds whose delta volume makes re-aggregation the cheaper move).
-  const auto rows_from_buckets = [&](const BucketTable& buckets) {
-    next->rows.clear();
-    for (CommunityId c = 0; c < num_vertices; ++c) {
-      const size_t ib = buckets.item_begin[c];
-      const size_t ie = buckets.item_begin[c + 1];
-      if (ib == ie) continue;
-      HimorSampleCache::BucketRow& row = next->rows[next->set_hash[c]];
-      row.node.insert(row.node.end(), buckets.node.begin() + ib,
-                      buckets.node.begin() + ie);
-      row.count.insert(row.count.end(), buckets.count.begin() + ib,
-                       buckets.count.begin() + ie);
-    }
-  };
-
-  if (!reusable) {
-    // Cold build on the delta schedule: draw and walk everything, then
-    // aggregate buckets the batch way.
-    std::vector<std::pair<CommunityId, NodeId>> pairs;
-    for (NodeId source = 0; source < n; ++source) {
-      const StatusCode budget_code = budget.ExhaustedCode();
-      if (budget_code != StatusCode::kOk) {
-        return BudgetStatus(budget_code, "HIMOR delta build");
-      }
-      worker.BeginSource(source);
-      for (uint32_t j = 0; j < theta; ++j) {
-        Rng rng(RrSampleSeed(seed, uint64_t{source} * theta + j));
-        worker.SampleAndWalk(rng, &pairs, next);
-        next->rr.Append(worker.last_rr());
-        next->pair_begin.push_back(next->pair_node.size());
-      }
-    }
-    tally.samples_resampled = num_samples;
-    const BucketTable buckets = BuildBuckets(pairs, num_vertices, n);
-    rows_from_buckets(buckets);
-    std::optional<CoverageSketchBuilder> sb = MaybeSketchBuilder(
-        dendrogram, seed, theta, max_rank, sketch_bits, sketch);
-    HimorIndex index = BuildFromBuckets(dendrogram, max_rank, buckets,
-                                        comp_size_of_node, sb ? &*sb : nullptr);
-    if (sb) *sketch = sb->Finish();
-    next->valid = true;
-    if (stats != nullptr) *stats = tally;
-    return index;
-  }
-
-  // ---- Incremental path. ----
   // At low churn the new pair population is close to the old one; one
   // up-front reservation keeps the hot loop free of geometric regrowth.
   next->pair_pos.reserve(prev->pair_pos.size());
@@ -842,7 +791,7 @@ Result<HimorIndex> HimorIndex::BuildDelta(
   for (NodeId source = 0; source < n; ++source) {
     const StatusCode budget_code = budget.ExhaustedCode();
     if (budget_code != StatusCode::kOk) {
-      return BudgetStatus(budget_code, "HIMOR delta build");
+      return BudgetStatus(budget_code);
     }
     worker.BeginSource(source);
     const uint32_t new_len = worker.source_level();
@@ -1091,27 +1040,10 @@ Result<HimorIndex> HimorIndex::BuildDelta(
   // produce the same row multisets, so the choice never shows in the index.
   if (deltas.size() * 5 > next->pair_node.size()) {
     prev->rows.clear();  // retired either way on success; free it early
-    std::vector<std::pair<CommunityId, NodeId>> pairs;
-    pairs.reserve(next->pair_node.size());
-    for (NodeId source = 0; source < n; ++source) {
-      worker.BeginSource(source);
-      const uint64_t pb = next->pair_begin[uint64_t{source} * theta];
-      const uint64_t pe = next->pair_begin[uint64_t{source} * theta + theta];
-      for (uint64_t k = pb; k < pe; ++k) {
-        pairs.emplace_back(worker.ChainAtLeafUp(next->pair_tag[k]),
-                           next->pair_node[k]);
-      }
-    }
-    const BucketTable buckets = BuildBuckets(pairs, num_vertices, n);
-    rows_from_buckets(buckets);
-    std::optional<CoverageSketchBuilder> sb = MaybeSketchBuilder(
-        dendrogram, seed, theta, max_rank, sketch_bits, sketch);
-    HimorIndex index = BuildFromBuckets(dendrogram, max_rank, buckets,
-                                        comp_size_of_node, sb ? &*sb : nullptr);
-    if (sb) *sketch = sb->Finish();
-    next->valid = true;
-    if (stats != nullptr) *stats = tally;
-    return index;
+    const BucketTable buckets = BucketsFromCache(*next, dendrogram);
+    RowsFromBuckets(buckets, next);
+    if (spec.stats != nullptr) *spec.stats = tally;
+    return MergeBuckets(spec, TableItems(buckets));
   }
 
   // Sparse case: carry the rows across and apply the delta. Stealing (not
@@ -1180,24 +1112,15 @@ Result<HimorIndex> HimorIndex::BuildDelta(
   // the sketch co-build inherits the delta discipline for free: clean
   // components feed byte-identical rows, dirty components freshly
   // recomputed ones, and the resulting sketch equals a cold build's.
-  std::optional<CoverageSketchBuilder> sb =
-      MaybeSketchBuilder(dendrogram, seed, theta, max_rank, sketch_bits,
-                         sketch);
-  HimorIndex index = BuildFromItems(
-      dendrogram, max_rank,
-      [&](CommunityId c, auto&& emit) {
-        const auto it = next->rows.find(next->set_hash[c]);
-        if (it == next->rows.end()) return;
-        const HimorSampleCache::BucketRow& row = it->second;
-        for (size_t i = 0; i < row.node.size(); ++i) {
-          emit(row.node[i], row.count[i]);
-        }
-      },
-      comp_size_of_node, sb ? &*sb : nullptr);
-  if (sb) *sketch = sb->Finish();
-  next->valid = true;
-  if (stats != nullptr) *stats = tally;
-  return index;
+  if (spec.stats != nullptr) *spec.stats = tally;
+  return MergeBuckets(spec, [&](CommunityId c, auto&& emit) {
+    const auto it = next->rows.find(next->set_hash[c]);
+    if (it == next->rows.end()) return;
+    const HimorSampleCache::BucketRow& row = it->second;
+    for (size_t i = 0; i < row.node.size(); ++i) {
+      emit(row.node[i], row.count[i]);
+    }
+  });
 }
 
 

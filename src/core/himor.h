@@ -16,20 +16,22 @@
 // sorted runs, producing every community's full ranking in
 // O(Theta*omega + |R| log |V| + sum_v dep(v)).
 //
-// Every builder draws sample (source, j) from the counter-seeded schedule
-// RrSampleSeed(seed, source * theta + j) — independent of epoch, thread
-// placement, and every other sample. That one schedule is what makes the
-// parallel/scoped/delta builders bit-compatible, lets BuildDelta reuse any
-// subset of samples byte-identically, and lets the coverage-sketch index
+// One builder, HimorIndex::Build(const HimorBuildSpec&), serves every
+// caller. It draws sample (source, j) from the counter-seeded schedule
+// RrSampleSeed(seed, source * theta + j), independent of epoch, thread
+// placement, and every other sample. That one schedule is what lets the
+// build run inline or as fixed source batches on a borrowed scheduler with
+// identical bytes, lets a delta build reuse any subset of samples
+// byte-identically, and lets the coverage-sketch index
 // (influence/coverage_sketch.h) prove query-time pruning bounds against the
 // very pool a pinned evaluation will draw.
 //
-// Incremental construction (BuildDelta, DESIGN.md Sec. 15): under a small
-// edge delta, most RR graphs and most of their hierarchical-first tags are
-// unchanged. BuildDelta reuses, per sample, as much of the previous
-// epoch's work as a dirty-vertex bitmap and a member-set comparison of the
-// two dendrograms prove safe. A delta build is bit-identical to a cold
-// BuildDelta on the same graph.
+// Incremental construction (DESIGN.md Sec. 15): under a small edge delta,
+// most RR graphs and most of their hierarchical-first tags are unchanged.
+// Given the previous epoch's HimorSampleCache and a dirty-vertex bitmap, the
+// build reuses, per sample, as much of that work as the bitmap and a
+// member-set comparison of the two dendrograms prove safe. The result is
+// bit-identical to a build without the cache on the same graph.
 
 #ifndef COD_CORE_HIMOR_H_
 #define COD_CORE_HIMOR_H_
@@ -52,10 +54,12 @@
 namespace cod {
 
 class CoverageSketchBuilder;
+class TaskScheduler;
 
-// Cross-epoch carry state for BuildDelta: everything epoch N's build must
-// remember so epoch N+1 can skip the untouched fraction. Owned by the
-// serving layer (one double-buffered pair per service), opaque to queries.
+// Cross-epoch carry state for delta builds (HimorBuildSpec::prev / next):
+// everything epoch N's build must remember so epoch N+1 can skip the
+// untouched fraction. Owned by the serving layer (one double-buffered pair
+// per service), opaque to queries.
 //
 //  * `rr` holds every RR graph of the epoch, sample (s, j) at slab index
 //    s * theta + j. A sample whose visited set avoids the dirty bitmap
@@ -77,7 +81,7 @@ class CoverageSketchBuilder;
 //    member-set fingerprint rather than community id so the key survives
 //    dendrogram renumbering. A sample whose every tag sits at a member-set
 //    preserved chain position contributes the identical (fingerprint, node)
-//    multiset in both epochs, so BuildDelta moves the whole map forward
+//    multiset in both epochs, so a delta build moves the whole map forward
 //    (stealing it from `prev`) and applies only the sparse sub/add delta of
 //    the samples that actually changed. A cross-community fingerprint
 //    collision would merge two buckets — the same ~2^-60 risk class as the
@@ -105,13 +109,79 @@ struct HimorSampleCache {
   bool valid = false;
 };
 
-// Per-build reuse accounting (BuildDelta outputs; the serving layer turns
+// Per-build reuse accounting (HimorBuildSpec::stats; the serving layer turns
 // these into cod_rebuild_delta_samples_* counters).
 struct HimorDeltaStats {
   uint64_t samples_total = 0;
   uint64_t samples_resampled = 0;  // RR set touched a dirty vertex
   uint64_t samples_replayed = 0;   // RR bytes reused, HFS walk re-run
   uint64_t samples_reused = 0;     // RR bytes and cached tags both reused
+};
+
+// Every input of one HIMOR build. `model`, `dendrogram` and `lca` are
+// required and need only outlive the Build call; the index owns its data.
+struct HimorBuildSpec {
+  const DiffusionModel* model = nullptr;
+  const Dendrogram* dendrogram = nullptr;
+  const LcaIndex* lca = nullptr;
+  uint32_t theta = 10;  // RR graphs sampled per source node
+  // The paper's "selected communities": only (community, rank) pairs with
+  // rank < max_rank are materialized, since a query with k <= max_rank
+  // never needs the others (an absent ancestor means rank >= max_rank >
+  // k - 1). This keeps the index near the input size on skewed
+  // hierarchies; std::numeric_limits<uint32_t>::max() materializes every
+  // ancestor.
+  uint32_t max_rank = 16;
+  // Schedule seed: sample (source, j) draws from
+  // Rng(RrSampleSeed(seed, source * theta + j)).
+  uint64_t seed = 0;
+  Budget budget{};
+  // Component-scoped materialization (sharded serving; see
+  // EngineOptions::component_scoped), with comp_size_of_node[v] = the size
+  // of v's connected component. Only "pure" communities (LeafCount <= the
+  // size of their members' component, i.e. subtrees that never cross a
+  // component boundary) get per-node entries: the impure merge vertices a
+  // dendrogram over a disconnected graph stacks on top carry no influence
+  // signal and would differ per shard layout. Since the schedule is keyed
+  // by source, every within-component rank is then a pure function of
+  // (seed, theta, the component's subgraph). Null materializes everything.
+  const std::vector<uint32_t>* comp_size_of_node = nullptr;
+  // Borrowed scheduler (null = run inline on the calling thread). Stage 1
+  // then runs as a FIXED split of the sources into 64 rebuild-priority
+  // batches, merged in batch order, so the bytes never depend on the worker
+  // count. Waiting from a worker of the same scheduler helps inline, so a
+  // build may itself run as a scheduler task.
+  TaskScheduler* scheduler = nullptr;
+  // Delta reuse. `next` (optional, != prev) receives this epoch's carry
+  // state; it is valid only when the build returns Ok. With a valid `prev`
+  // from the same (theta, seed, max_rank) on a same-sized graph, plus the
+  // `dirty` bitmap of vertices incident to any edge changed since prev's
+  // epoch, each sample takes the cheapest sound tier:
+  //
+  //   1. resample — some visited vertex is dirty; redraw from the sample's
+  //      own seed and re-walk (exactly what a build without `prev` does);
+  //   2. replay  — the RR bytes are clean but the source's ancestor chain
+  //      changed at a referenced position; reuse the bytes, re-run the
+  //      hierarchical-first walk against the new dendrogram;
+  //   3. reuse   — bytes clean and every chain position the sample's tags
+  //      reference is member-set-preserved at a consecutively shifted new
+  //      position; the cached (pos, node) pairs are emitted directly.
+  //
+  // Set fingerprints carry a ~2^-60 collision risk (DESIGN.md Sec. 15). A
+  // SUCCESSFUL reuse build consumes prev->rows (the bucket carry is moved,
+  // not copied; the caller's double buffer retires prev anyway); a failed
+  // build leaves `prev` fully reusable. Reuse needs all of prev, next and
+  // dirty; anything less builds without it. `stats` (optional) receives
+  // the per-tier sample counts.
+  const std::vector<char>* dirty = nullptr;
+  HimorSampleCache* prev = nullptr;
+  HimorSampleCache* next = nullptr;
+  HimorDeltaStats* stats = nullptr;
+  // Coverage-sketch co-build: with sketch_bits > 0 and `sketch` non-null,
+  // *sketch receives a CoverageSketchIndex built from the very same RR
+  // samples and bucket runs, at the schedule seed above.
+  uint32_t sketch_bits = 0;
+  std::optional<CoverageSketchIndex>* sketch = nullptr;
 };
 
 class HimorIndex {
@@ -121,129 +191,22 @@ class HimorIndex {
     uint32_t rank;  // number of members with strictly larger influence
   };
 
-  // Builds the index over `dendrogram` (which, with `model`'s graph and
-  // `lca`, must outlive the returned index's *construction* only — the index
-  // itself owns its data). `theta` RR graphs are sampled per node.
+  // The one HIMOR builder (paper Sec. IV-B, Theorem 6); see HimorBuildSpec
+  // for every input. Returns either the full deterministic index or an
+  // error, never a partial index:
   //
-  // `max_rank` implements the paper's "selected communities": only
-  // (community, rank) pairs with rank < max_rank are materialized, since a
-  // query with requirement k <= max_rank never needs the others (an absent
-  // ancestor means rank >= max_rank > k - 1). This keeps the index size near
-  // the input data size even on skewed hierarchies; pass
-  // std::numeric_limits<uint32_t>::max() to materialize every ancestor.
-  static HimorIndex Build(const DiffusionModel& model,
-                          const Dendrogram& dendrogram, const LcaIndex& lca,
-                          uint32_t theta, Rng& rng, uint32_t max_rank = 16);
-
-  // Multi-threaded construction. Sources are split into a FIXED number of
-  // batches, each with its own seeded RNG stream, so the produced index is a
-  // pure function of (seed, theta) — identical for any thread count
-  // (num_threads == 0 uses the hardware concurrency).
-  static HimorIndex BuildParallel(const DiffusionModel& model,
-                                  const Dendrogram& dendrogram,
-                                  const LcaIndex& lca, uint32_t theta,
-                                  uint64_t seed, uint32_t max_rank = 16,
-                                  size_t num_threads = 0);
-
-  // Budget-aware builders, used by the serving stack (see
-  // serving/dynamic_service.h): an exhausted budget or an armed "himor/build"
-  // failpoint returns kTimeout / kCancelled / kIoError instead of running
-  // unbounded. The budget is polled once per source node (the per-source RR
-  // batch is the check interval); parallel workers share an abort flag, so
-  // one worker's budget miss stops the others within a source. On failure
-  // nothing is returned — either the full deterministic index or an error,
-  // never a partial index. The unbudgeted builders above forward here with
-  // an infinite budget and CHECK success, so they also observe the
-  // failpoint (arm it only around code using these Result forms).
+  //  * an exhausted spec.budget returns kTimeout / kCancelled (the budget is
+  //    polled once per source; parallel batches share an abort flag, so one
+  //    batch's miss stops the rest within a source);
+  //  * an armed "himor/build" failpoint returns kIoError;
+  //  * an armed "influence/sketch_build" failpoint (or sketch_bits == 0)
+  //    leaves *spec.sketch empty while the index itself still builds —
+  //    sketch loss degrades pruning, never correctness.
   //
-  // Every budgeted builder optionally co-builds the coverage-sketch index:
-  // with sketch_bits > 0 and `sketch` non-null, *sketch receives a
-  // CoverageSketchIndex built from the very same RR samples and bucket
-  // runs, at seed = the schedule seed the samples were drawn from. An armed
-  // "influence/sketch_build" failpoint (or sketch_bits == 0) leaves *sketch
-  // empty while the index itself still builds — sketch loss degrades
-  // pruning, never correctness. Build(rng) spends exactly one rng.Next()
-  // draw on the schedule seed.
-  static Result<HimorIndex> Build(const DiffusionModel& model,
-                                  const Dendrogram& dendrogram,
-                                  const LcaIndex& lca, uint32_t theta,
-                                  Rng& rng, uint32_t max_rank,
-                                  const Budget& budget,
-                                  uint32_t sketch_bits = 0,
-                                  std::optional<CoverageSketchIndex>* sketch =
-                                      nullptr);
-  static Result<HimorIndex> BuildParallel(const DiffusionModel& model,
-                                          const Dendrogram& dendrogram,
-                                          const LcaIndex& lca, uint32_t theta,
-                                          uint64_t seed, uint32_t max_rank,
-                                          size_t num_threads,
-                                          const Budget& budget,
-                                          uint32_t sketch_bits = 0,
-                                          std::optional<CoverageSketchIndex>*
-                                              sketch = nullptr);
-
-  // Component-scoped builder (sharded serving; see
-  // EngineOptions::component_scoped). Two differences from Build:
-  //
-  //  1. Samples come from the shared source-keyed schedule
-  //     RrSampleSeed(seed, source * theta + j), so a node's samples — and
-  //     therefore every within-component rank — are a pure function of
-  //     (seed, theta, its own component's subgraph), independent of which
-  //     other components share the shard graph.
-  //  2. Only "pure" communities (LeafCount <= the size of their members'
-  //     connected component, i.e. subtrees that never cross a component
-  //     boundary) are materialized into the per-node entry lists. The
-  //     impure merge vertices a dendrogram over a disconnected graph stacks
-  //     on top carry no influence signal and would differ per shard layout.
-  //
-  // `comp_size_of_node[v]` is v's connected-component size (from
-  // graph::ConnectedComponents). On a connected graph every community is
-  // pure and the entry set matches Build at the same schedule seed.
-  static Result<HimorIndex> BuildScoped(
-      const DiffusionModel& model, const Dendrogram& dendrogram,
-      const LcaIndex& lca, uint32_t theta, uint64_t seed, uint32_t max_rank,
-      const Budget& budget, const std::vector<uint32_t>& comp_size_of_node,
-      uint32_t sketch_bits = 0,
-      std::optional<CoverageSketchIndex>* sketch = nullptr);
-
-  // Incremental builder (the delta-rebuild serving mode). Samples on the
-  // same counter-seeded schedule RrSampleSeed(seed, s * theta + j) as every
-  // other builder — delta mode still joins the service options fingerprint
-  // because the serving layer derives the SEED VALUE differently per epoch
-  // (seed + ticket vs a ticket-seeded rng draw; see
-  // ServiceOptions::delta_rebuild). With prev == nullptr (or an unusable
-  // cache) every sample
-  // is drawn fresh: the cold build. With a valid `prev` plus the `dirty`
-  // bitmap of vertices incident to any edge changed since prev's epoch,
-  // each sample takes the cheapest sound tier:
-  //
-  //   1. resample — some visited vertex is dirty; redraw from the sample's
-  //      own seed and re-walk (identical to what the cold build does);
-  //   2. replay  — the RR bytes are clean but the source's ancestor chain
-  //      changed at a referenced position; reuse the bytes, re-run the
-  //      hierarchical-first walk against the new dendrogram;
-  //   3. reuse   — bytes clean and every chain position the sample's tags
-  //      reference is member-set-preserved at a consecutively shifted new
-  //      position; the cached (pos, node) pairs are emitted directly.
-  //
-  // The produced index is bit-identical to the prev == nullptr build on the
-  // same graph (the delta-vs-cold equivalence suite pins this; set
-  // fingerprints have a ~2^-60 collision risk, see DESIGN.md Sec. 15).
-  // `next` (required, != prev) receives the carry state for the following
-  // epoch; it is valid only when the build returns Ok. A SUCCESSFUL build
-  // consumes prev->rows (the bucket carry is moved, not copied — prev is
-  // retired by the caller's double-buffer flip anyway); a failed build
-  // leaves `prev` fully reusable.
-  // `comp_size_of_node` enables BuildScoped's component-pure
-  // materialization (nullptr = materialize everything, the mono behavior).
-  static Result<HimorIndex> BuildDelta(
-      const DiffusionModel& model, const Dendrogram& dendrogram,
-      const LcaIndex& lca, uint32_t theta, uint64_t seed, uint32_t max_rank,
-      const Budget& budget, const std::vector<uint32_t>* comp_size_of_node,
-      const std::vector<char>* dirty, HimorSampleCache* prev,
-      HimorSampleCache* next, HimorDeltaStats* stats,
-      uint32_t sketch_bits = 0,
-      std::optional<CoverageSketchIndex>* sketch = nullptr);
+  // The result is a pure function of (graph, dendrogram, theta, seed,
+  // max_rank, comp_size_of_node): identical with or without a scheduler,
+  // for any worker count, and with or without a previous-epoch cache.
+  static Result<HimorIndex> Build(const HimorBuildSpec& spec);
 
   uint32_t max_rank() const { return max_rank_; }
 
@@ -282,40 +245,23 @@ class HimorIndex {
   static Result<HimorIndex> Deserialize(BinarySpanReader& in);
 
  private:
-  // Stage-1 output in community-major CSR form: bucket c's aggregated
-  // (node, count) items live at [item_begin[c], item_begin[c + 1]).
-  struct BucketTable {
-    std::vector<size_t> item_begin;  // num_vertices + 1
-    std::vector<NodeId> node;
-    std::vector<uint32_t> count;
-  };
+  // The two stage-1 strategies behind Build: draw and walk every sample
+  // (inline or in fixed batches on spec.scheduler), or reuse what
+  // spec.prev proves safe. Both end in MergeBuckets.
+  static Result<HimorIndex> BuildCold(const HimorBuildSpec& spec);
+  static Result<HimorIndex> BuildReusing(const HimorBuildSpec& spec);
 
-  // Aggregates raw (community, node) tag pairs into the CSR bucket table
-  // (counting sort by community, then per-segment dedup with node stamps).
-  static BucketTable BuildBuckets(
-      std::span<const std::pair<CommunityId, NodeId>> pairs,
-      size_t num_vertices, size_t num_nodes);
-
-  // Stage 2 (bottom-up bucket merging), shared by all builders. When
-  // `comp_size_of_node` is non-null, only pure communities (see BuildScoped)
-  // are materialized into per-node entries. `items_of(c, emit)` supplies the
-  // aggregated bucket items of non-leaf community c in any order;
-  // BuildFromBuckets adapts a BucketTable onto it, the delta builder its
-  // incrementally maintained fingerprint-keyed rows. A non-null `sketch`
-  // observes every community's bucket run, merged run, and (for
-  // materialized communities) member counts — the coverage-sketch build
-  // rides stage 2 instead of re-walking anything.
+  // Stage 2: bottom-up merging of the tree-structured buckets.
+  // `items_of(c, emit)` supplies the aggregated bucket items of non-leaf
+  // community c in any order (a CSR bucket table for cold builds, the
+  // fingerprint-keyed carried rows for reuse builds). With
+  // spec.comp_size_of_node set, only pure communities get per-node entries.
+  // The coverage sketch, when spec asks for one, observes every community's
+  // bucket run, merged run, and (for materialized communities) member
+  // counts: its build rides stage 2 instead of re-walking anything.
   template <typename ItemsOf>
-  static HimorIndex BuildFromItems(
-      const Dendrogram& dendrogram, uint32_t max_rank, ItemsOf&& items_of,
-      const std::vector<uint32_t>* comp_size_of_node,
-      CoverageSketchBuilder* sketch = nullptr);
-
-  static HimorIndex BuildFromBuckets(
-      const Dendrogram& dendrogram, uint32_t max_rank,
-      const BucketTable& buckets,
-      const std::vector<uint32_t>* comp_size_of_node = nullptr,
-      CoverageSketchBuilder* sketch = nullptr);
+  static HimorIndex MergeBuckets(const HimorBuildSpec& spec,
+                                 ItemsOf&& items_of);
 
   uint32_t max_rank_ = 0;
   std::vector<size_t> offsets_;  // per node, into entries_

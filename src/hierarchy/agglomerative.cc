@@ -27,7 +27,7 @@ struct ClusterState {
   // has the larger adjacency map), so breaking similarity ties on ids lets
   // one early divergence reorder merges across the whole component — a
   // single extra edge could restructure ~40% of all ancestor chains, which
-  // destroys cross-epoch reuse (ClusterReplay, HimorIndex::BuildDelta). The
+  // destroys cross-epoch reuse (ClusterReplay, the HIMOR delta build). The
   // min-leaf key is a pure function of the cluster's member set, so tied
   // merges resolve identically across epochs and damage stays local to the
   // perturbed region.

@@ -1,6 +1,6 @@
 // Bottom-up construction of CoverageSketchIndex during a HIMOR build.
 //
-// HimorIndex::BuildFromItems already walks the dendrogram in ascending
+// HimorIndex::MergeBuckets already walks the dendrogram in ascending
 // community-id order (parents after children, Theorem 6), with three facts
 // the sketch gets for free at each non-leaf community c:
 //

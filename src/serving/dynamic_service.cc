@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -140,13 +141,12 @@ DynamicCodService::DynamicCodService(
   if (options_.delta_rebuild) {
     // The reuse caches are not persisted (delta_cur_ stays -1), so the
     // first rebuild after a warm restart runs cold — bit-identity holds
-    // regardless, because the delta schedule is epoch-independent.
+    // regardless, because the schedule seed is epoch-independent.
     dirty_pending_.assign(num_nodes_, 0);
     dirty_since_cache_.assign(num_nodes_, 0);
   }
-  // Rebuild tickets continue AFTER the snapshot's: replaying the same
-  // update sequence against the recovered service draws the same per-ticket
-  // seed streams the original would have.
+  // Rebuild tickets continue AFTER the snapshot's, so the snapshot
+  // bookkeeping (EpochSnapshotMeta::build_index) stays monotone.
   builds_started_ = build_index + 1;
   auto first = std::make_shared<Epoch>();
   first->epoch = epoch;
@@ -246,9 +246,8 @@ DynamicCodService::~DynamicCodService() {
 }
 
 bool DynamicCodService::AddEdge(NodeId u, NodeId v, double weight) {
-  COD_CHECK(u < num_nodes_);
-  COD_CHECK(v < num_nodes_);
-  if (u == v) return false;
+  if (u >= num_nodes_ || v >= num_nodes_ || u == v) return false;
+  if (!std::isfinite(weight) || weight < 0.0) return false;
   std::lock_guard<std::mutex> lock(mu_);
   edges_[EdgeKey(u, v, num_nodes_)] = weight;
   ++pending_updates_;
@@ -262,8 +261,7 @@ bool DynamicCodService::AddEdge(NodeId u, NodeId v, double weight) {
 }
 
 bool DynamicCodService::RemoveEdge(NodeId u, NodeId v) {
-  COD_CHECK(u < num_nodes_);
-  COD_CHECK(v < num_nodes_);
+  if (u >= num_nodes_ || v >= num_nodes_) return false;
   std::lock_guard<std::mutex> lock(mu_);
   if (edges_.erase(EdgeKey(u, v, num_nodes_)) == 0) return false;
   ++pending_updates_;
@@ -318,7 +316,7 @@ bool DynamicCodService::RetryScheduled() const {
 }
 
 Result<DynamicCodService::EpochBuild> DynamicCodService::BuildEpochCore(
-    const EdgeMap& edges, uint64_t build_index) {
+    const EdgeMap& edges) {
   if (COD_FAILPOINT("dynamic_service/rebuild")) {
     return Status::IoError("failpoint dynamic_service/rebuild armed");
   }
@@ -328,48 +326,19 @@ Result<DynamicCodService::EpochBuild> DynamicCodService::BuildEpochCore(
                     static_cast<NodeId>(key % num_nodes_), weight);
   }
   auto graph = std::make_shared<const Graph>(std::move(builder).Build());
-  if (options_.delta_rebuild) {
-    // The delta schedule ignores the ticket number by design (see
-    // BuildEpochCoreDelta); build_index still matters for publication
-    // bookkeeping, which the callers own.
-    return BuildEpochCoreDelta(std::move(graph));
-  }
-  auto core = std::make_shared<EngineCore>(graph, attrs_, options_.engine);
-  // Per-ticket deterministic sampling stream (failed tickets are consumed).
-  Rng rng(options_.seed + build_index);
-  const Budget budget{options_.rebuild_budget_seconds > 0.0
-                          ? Deadline::After(options_.rebuild_budget_seconds)
-                          : Deadline::Infinite()};
-  Status himor = core->TryBuildHimor(rng, budget);
-  if (!himor.ok()) {
-    if (!options_.publish_without_index) return himor;
-    // Degraded publication: the graph and hierarchy built fine, only the
-    // index ran over budget (or hit "himor/build"). Fresh answers without
-    // index acceleration beat fast answers over a stale graph — publish
-    // index-absent and let a later rebuild restore the index.
-    core->MarkIndexAbsent();
-    return EpochBuild{std::shared_ptr<const EngineCore>(std::move(core)),
-                      /*degraded=*/true};
-  }
-  return EpochBuild{std::shared_ptr<const EngineCore>(std::move(core)),
-                    /*degraded=*/false};
-}
 
-Result<DynamicCodService::EpochBuild> DynamicCodService::BuildEpochCoreDelta(
-    std::shared_ptr<const Graph> graph) {
   const RebuildSites& rm = RebuildMetrics();
-  rm.delta_attempts->Increment();
-
+  const bool delta = options_.delta_rebuild;
+  if (delta) rm.delta_attempts->Increment();
   const int cur = delta_cur_;
   const int nxt = cur < 0 ? 0 : 1 - cur;
 
-  // Decide reuse vs cold. A cold delta build runs the exact same
-  // counter-seeded schedule with no previous cache, so both paths answer
-  // bit-identically — the choice is latency-only. Fallbacks count only
+  // Decide reuse vs cold. Both run the same schedule and answer
+  // bit-identically, so the choice is latency-only. Fallbacks count only
   // decisions where a base existed but was not used; the very first build
   // (no base at all) is just a cold build.
-  bool use_prev =
-      cur >= 0 && sample_cache_[cur].valid && cluster_replay_[cur].valid;
+  bool use_prev = delta && cur >= 0 && sample_cache_[cur].valid &&
+                  cluster_replay_[cur].valid;
   if (use_prev) {
     if (COD_FAILPOINT("core/delta_rebuild")) {
       use_prev = false;
@@ -406,17 +375,18 @@ Result<DynamicCodService::EpochBuild> DynamicCodService::BuildEpochCoreDelta(
   const Budget budget{options_.rebuild_budget_seconds > 0.0
                           ? Deadline::After(options_.rebuild_budget_seconds)
                           : Deadline::Infinite()};
+  // One schedule seed for every build, cold or delta: it never depends on
+  // the epoch or the ticket, so an epoch's bytes are a pure function of its
+  // graph, and cached RR bytes equal what resampling would produce.
+  const uint64_t schedule_seed = Rng(options_.seed).Next();
   for (;;) {
     const std::vector<char>* dirty = use_prev ? &dirty_since_cache_ : nullptr;
-    const ClusterReplay* replay_prev =
-        use_prev ? &cluster_replay_[cur] : nullptr;
-    HimorSampleCache* cache_prev = use_prev ? &sample_cache_[cur] : nullptr;
-
-    // Clustering runs unbudgeted, matching the cold EngineCore constructor;
-    // the rebuild budget bounds the HIMOR build, which dominates.
-    Result<Dendrogram> hierarchy =
-        AgglomerativeClusterDelta(*graph, AgglomerativeOptions{}, Budget{},
-                                  dirty, replay_prev, &cluster_replay_[nxt]);
+    // Clustering runs unbudgeted; the rebuild budget bounds the HIMOR
+    // build, which dominates.
+    Result<Dendrogram> hierarchy = AgglomerativeClusterDelta(
+        *graph, AgglomerativeOptions{}, Budget{}, dirty,
+        use_prev ? &cluster_replay_[cur] : nullptr,
+        delta ? &cluster_replay_[nxt] : nullptr);
     COD_CHECK(hierarchy.ok());  // an unlimited budget never aborts
     Result<std::unique_ptr<EngineCore>> made = EngineCore::FromPrebuilt(
         graph, attrs_, options_.engine, std::move(hierarchy).value(),
@@ -425,19 +395,19 @@ Result<DynamicCodService::EpochBuild> DynamicCodService::BuildEpochCoreDelta(
     if (!made.ok()) return made.status();
     std::shared_ptr<EngineCore> core(std::move(made).value());
 
-    // Constant seed: the delta schedule derives every sample's stream from
-    // (seed, source, j) alone — NOT from the rebuild ticket — so cached RR
-    // bytes equal what resampling would produce this epoch.
     HimorDeltaStats dstats;
-    const Status himor =
-        core->TryBuildHimorDelta(options_.seed, budget, dirty, cache_prev,
-                                 &sample_cache_[nxt], &dstats);
+    const Status himor = core->TryBuildHimor(
+        schedule_seed, budget, options_.scheduler, dirty,
+        use_prev ? &sample_cache_[cur] : nullptr,
+        delta ? &sample_cache_[nxt] : nullptr, &dstats);
     if (himor.ok()) {
-      rm.delta_samples_reused->Increment(dstats.samples_reused);
-      rm.delta_samples_replayed->Increment(dstats.samples_replayed);
-      rm.delta_samples_resampled->Increment(dstats.samples_resampled);
-      delta_cur_ = nxt;
-      std::fill(dirty_since_cache_.begin(), dirty_since_cache_.end(), 0);
+      if (delta) {
+        rm.delta_samples_reused->Increment(dstats.samples_reused);
+        rm.delta_samples_replayed->Increment(dstats.samples_replayed);
+        rm.delta_samples_resampled->Increment(dstats.samples_resampled);
+        delta_cur_ = nxt;
+        std::fill(dirty_since_cache_.begin(), dirty_since_cache_.end(), 0);
+      }
       return EpochBuild{std::shared_ptr<const EngineCore>(std::move(core)),
                         /*degraded=*/false};
     }
@@ -452,9 +422,13 @@ Result<DynamicCodService::EpochBuild> DynamicCodService::BuildEpochCoreDelta(
       continue;
     }
     if (!options_.publish_without_index) return himor;
-    // Degraded publication, as in the non-delta path. The caches do NOT
-    // advance: the next rebuild deltas from the last fully indexed epoch,
-    // with dirty_since_cache_ still covering everything since then.
+    // Degraded publication: the graph and hierarchy built fine, only the
+    // index ran over budget (or hit "himor/build"). Fresh answers without
+    // index acceleration beat fast answers over a stale graph — publish
+    // index-absent and let a later rebuild restore the index. The delta
+    // caches do NOT advance: the next rebuild deltas from the last fully
+    // indexed epoch, with dirty_since_cache_ still covering everything
+    // since then.
     core->MarkIndexAbsent();
     return EpochBuild{std::shared_ptr<const EngineCore>(std::move(core)),
                       /*degraded=*/true};
@@ -550,7 +524,7 @@ Status DynamicCodService::Refresh() {
   rm.attempts->Increment();
   lock.unlock();
 
-  Result<EpochBuild> built = BuildEpochCore(edges, build_index);
+  Result<EpochBuild> built = BuildEpochCore(edges);
   if (built.ok()) {
     PublishEpoch(built->core, built->degraded, build_index);
   }
@@ -618,7 +592,7 @@ void DynamicCodService::RunRebuildAttempt(EdgeMap edges, uint64_t build_index,
     ++stats_.attempts;
     rm.attempts->Increment();
   }
-  Result<EpochBuild> built = BuildEpochCore(edges, build_index);
+  Result<EpochBuild> built = BuildEpochCore(edges);
   if (built.ok()) {
     PublishEpoch(built->core, built->degraded, build_index);
     // Notify under the lock — see Refresh().

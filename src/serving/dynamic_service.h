@@ -26,25 +26,24 @@
 // of later rebuilds. Writers (AddEdge / RemoveEdge) mutate only the pending
 // edge set under a mutex.
 //
-// Epoch determinism: every build ticket t (0-based) samples with RNG seed
-// `options.seed + t`, so a service replaying the same
-// update/refresh/failure sequence publishes bit-identical epochs regardless
-// of whether rebuilds ran inline or on the scheduler. (A FAILED build consumes
-// its ticket, so after failures the published epoch number no longer equals
-// the ticket number — determinism is per replayed sequence, not per epoch
-// number.)
+// Epoch determinism: every build, cold or incremental, samples HIMOR on one
+// schedule seed, Rng(options.seed).Next(), that depends on neither the
+// epoch nor the build ticket. An epoch's bytes are therefore a pure
+// function of its GRAPH: a service replaying the same update sequence
+// publishes bit-identical epochs whether rebuilds ran inline or on the
+// scheduler, after failed tickets, and with or without delta rebuilds.
+// With a scheduler configured, the HIMOR build's stage 1 runs there in
+// fixed batches (same bytes for any worker count).
 //
-// Incremental rebuilds (ServiceOptions::delta_rebuild): every rebuild runs
-// the counter-seeded per-sample schedule instead (RrSampleSeed(seed,
-// source * theta + j) — the same seeds every epoch), which makes an epoch's
-// bytes a pure function of its GRAPH, independent of the ticket or of which
-// update batches led there. That is the property that lets a delta rebuild
-// reuse the previous epoch's RR samples and dendrogram merges wherever the
-// dirty-vertex bitmap proves them untouched: a delta-rebuilt epoch is
-// bit-identical to a cold rebuild on the same final edge set. The service
-// decides delta vs full per batch (dirty fraction vs delta_max_dirty_
-// fraction; any delta failure falls back to full) and counts decisions in
-// cod_rebuild_delta_{attempts,fallbacks}_total.
+// Incremental rebuilds (ServiceOptions::delta_rebuild): because the
+// schedule is epoch-independent, a rebuild can reuse the previous epoch's
+// RR samples and dendrogram merges wherever the dirty-vertex bitmap proves
+// them untouched; a delta-rebuilt epoch is bit-identical to a cold rebuild
+// on the same final edge set. The service decides delta vs full per batch
+// (dirty fraction vs delta_max_dirty_fraction; any delta failure falls
+// back to full) and counts decisions in
+// cod_rebuild_delta_{attempts,fallbacks}_total. The flag trades memory (the
+// sample caches) for rebuild latency and never changes an answer.
 //
 // Failure containment and degraded publication: a rebuild can fail — a
 // failpoint ("dynamic_service/rebuild", "himor/build"; see
@@ -121,8 +120,8 @@ class DynamicCodService : public CodServiceInterface {
   // options.snapshot_dir, skipping the expensive clustering/index build —
   // the restored epoch keeps its epoch number and rebuild ticket, so the
   // service answers bit-identically to the one that wrote the snapshot and
-  // later rebuilds continue the same deterministic seed stream. Corrupt
-  // snapshots are quarantined (".corrupt") and older ones tried; returns
+  // later rebuilds draw the same schedule seed. Corrupt snapshots are
+  // quarantined (".corrupt") and older ones tried; returns
   // kNotFound when no usable snapshot exists (cold-construct instead) and
   // kFailedPrecondition when the newest valid snapshot was written under a
   // different options fingerprint (seed, engine parameters, or sharding
@@ -220,9 +219,8 @@ class DynamicCodService : public CodServiceInterface {
 
   // A failed async attempt waiting out its backoff. Owns the captured edge
   // snapshot and ticket so the re-submitted attempt is byte-identical to
-  // the failed one (same seed stream). Guarded by mu_; mutually exclusive
-  // with attempt_running_ (an attempt either executes or waits, never
-  // both).
+  // the failed one. Guarded by mu_; mutually exclusive with
+  // attempt_running_ (an attempt either executes or waits, never both).
   struct PendingRetry {
     EdgeMap edges;
     uint64_t build_index = 0;
@@ -242,23 +240,21 @@ class DynamicCodService : public CodServiceInterface {
   bool RebuildInFlightLocked() const {
     return attempt_running_ || retry_.has_value();
   }
-  // Builds an epoch core from an edge snapshot. Runs on the single-flight
-  // build ticket with no locks held; non-const because delta mode advances
-  // the ticket-owned reuse caches below. Fails on the
+  // Builds an epoch core from an edge snapshot: cluster (replaying clean
+  // components under delta_rebuild), assemble the core, then run the one
+  // HIMOR builder on options_.scheduler with the epoch-independent schedule
+  // seed Rng(options_.seed).Next(). Under delta_rebuild the double-buffered
+  // caches and dirty_since_cache_ are passed along, so clean RR samples are
+  // reused; the build falls back to cold (same bytes, more time) when there
+  // is no base cache, the invalidated-sample fraction exceeds
+  // delta_max_dirty_fraction, the "core/delta_rebuild" failpoint is armed,
+  // or a reuse attempt fails with a non-budget error. Runs on the
+  // single-flight build ticket with no locks held; non-const because it
+  // advances the ticket-owned caches below. Fails on the
   // "dynamic_service/rebuild" failpoint or — unless publish_without_index
   // turns it into a degraded success — an over-budget / failpointed HIMOR
   // build.
-  Result<EpochBuild> BuildEpochCore(const EdgeMap& edges,
-                                    uint64_t build_index);
-  // Delta-mode tail of BuildEpochCore: replays clean dendrogram components
-  // and reuses clean RR samples against dirty_since_cache_ (see
-  // HimorIndex::BuildDelta). Falls back to a cold build — same
-  // counter-seeded schedule, no reuse, bit-identical answers — when there
-  // is no base cache, the estimated invalidated-sample fraction exceeds
-  // delta_max_dirty_fraction,
-  // the "core/delta_rebuild" failpoint is armed, or a reuse attempt fails
-  // with a non-budget error.
-  Result<EpochBuild> BuildEpochCoreDelta(std::shared_ptr<const Graph> graph);
+  Result<EpochBuild> BuildEpochCore(const EdgeMap& edges);
   // Folds dirty_pending_ into dirty_since_cache_ and clears it. Called at
   // build capture (mu_ held, this thread owns the ticket); the fold is a
   // union, so a ticket that fails and is re-captured stays correct.

@@ -44,11 +44,12 @@ class CodServiceInterface {
   virtual ~CodServiceInterface() = default;
 
   // ---- Updates (O(1), no rebuild). Duplicate inserts overwrite weight;
-  // removing an absent edge returns false. Self-loops are rejected. A
-  // sharded service additionally rejects edges that would CROSS shards
-  // (returns false, counts cod_shard_cross_edge_rejected_total) — the
-  // partition is fixed at construction. Thread-safe against queries and
-  // each other. ----
+  // removing an absent edge returns false. Bad input is refused with
+  // false, never a process abort: self-loops, node ids >= the node count,
+  // and weights that are NaN, infinite or negative. A sharded service
+  // additionally rejects edges that would CROSS shards (returns false,
+  // counts cod_shard_cross_edge_rejected_total) — the partition is fixed
+  // at construction. Thread-safe against queries and each other. ----
   virtual bool AddEdge(NodeId u, NodeId v, double weight = 1.0) = 0;
   virtual bool RemoveEdge(NodeId u, NodeId v) = 0;
 

@@ -88,11 +88,6 @@ uint64_t ServiceOptions::Fingerprint() const {
   // answer-preserving, and the rung only changes which degraded tier answers
   // under pressure — both are runtime latency knobs a restart may flip.
   Mix(h, engine.sketch_bits);
-  // Delta mode changes the RR sampling schedule (counter-seeded per sample
-  // vs per-ticket streams), so its answers differ from non-delta answers
-  // for the same seed — it must gate snapshot compatibility. The dirty
-  // threshold does NOT: both sides of it answer identically.
-  Mix(h, delta_rebuild ? 1 : 0);
   Mix(h, num_shards);
   Mix(h, static_cast<uint64_t>(partitioner));
   return h;

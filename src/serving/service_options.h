@@ -46,10 +46,10 @@ struct ServiceOptions {
   // Rebuild when pending updates exceed this fraction of the snapshot's
   // edges (0 = rebuild on every update; large = manual Refresh only).
   double rebuild_threshold = 0.05;
-  // Drives HIMOR sampling at every rebuild (rebuild ticket t samples with
-  // seed + t). Shards deliberately share this seed: component-scoped HIMOR
-  // builds derive per-source streams from it, so the same node samples the
-  // same stream no matter which shard owns it.
+  // Drives HIMOR sampling: every rebuild, cold or delta, samples on the
+  // schedule seed Rng(seed).Next(), whatever the epoch. Shards
+  // deliberately share this seed: the schedule is keyed by source node, so
+  // the same node samples the same stream no matter which shard owns it.
   uint64_t seed = 1;
 
   // Build threshold-crossing rebuilds as rebuild-priority tasks on
@@ -85,15 +85,15 @@ struct ServiceOptions {
   std::string snapshot_dir;
   size_t snapshots_keep = 2;
 
-  // Incremental epoch rebuilds. When true, every rebuild (including the
-  // first) runs on the counter-seeded per-sample schedule
-  // RrSampleSeed(seed, source * theta + j) — the SAME seeds every epoch —
-  // and a rebuild after update batches reuses the previous epoch's RR
-  // samples, dendrogram merges, and hierarchical-first tags wherever the
-  // dirty-vertex bitmap proves them untouched (see HimorIndex::BuildDelta).
-  // Delta-rebuilt epochs are bit-identical to cold rebuilds on the same
-  // graph, but the schedule differs from the non-delta mode's
-  // seed-plus-ticket streams, so this flag joins the fingerprint.
+  // Incremental epoch rebuilds. When true, the service keeps the previous
+  // epoch's RR samples, hierarchical-first tags and dendrogram merges, and
+  // a rebuild after update batches reuses them wherever the dirty-vertex
+  // bitmap proves them untouched (see HimorBuildSpec::prev). Every build
+  // samples the same epoch-independent schedule either way, so a
+  // delta-rebuilt epoch is bit-identical to a cold rebuild on the same
+  // graph: the flag trades memory (two sample caches, each holding every
+  // RR sample of an epoch) for rebuild latency, and stays out of the
+  // fingerprint.
   bool delta_rebuild = false;
   // Fall back to a full (cold) rebuild when the fraction of cached RR
   // samples invalidated by the batch exceeds this bound. A sample dies if
@@ -130,8 +130,8 @@ struct ServiceOptions {
 
   // Order-independent 64-bit digest of every field that shapes ANSWERS:
   // seed, engine.{k, theta, himor_max_rank, diffusion, transform.beta,
-  // transform.transform, component_scoped, sketch_bits}, delta_rebuild,
-  // num_shards, partitioner. engine.sketch_bits joins because it shapes the
+  // transform.transform, component_scoped, sketch_bits}, num_shards,
+  // partitioner. engine.sketch_bits joins because it shapes the
   // persisted kSketch snapshot section and the sketch rung's answers;
   // engine.sketch_prune / engine.sketch_rung stay out (pruning is
   // answer-preserving and the rung only selects a degraded tier — pure
@@ -140,8 +140,9 @@ struct ServiceOptions {
   // and checked on recovery, so a snapshot from a different layout or
   // parameterization is refused with kFailedPrecondition instead of being
   // restored into a service that would silently answer differently.
-  // Latency/durability knobs (thresholds, budgets, retention, scheduler)
-  // are deliberately excluded — changing them must not cost a warm restart.
+  // Latency/durability knobs (thresholds, budgets, retention, scheduler,
+  // delta_rebuild) are deliberately excluded — changing them must not cost
+  // a warm restart.
   uint64_t Fingerprint() const;
 };
 

@@ -1,6 +1,7 @@
 #include "serving/sharded_service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -102,9 +103,10 @@ Result<std::unique_ptr<ShardedCodService>> ShardedCodService::Recover(
 }
 
 bool ShardedCodService::AddEdge(NodeId u, NodeId v, double weight) {
-  COD_CHECK(u < partition_.shard_of_node.size());
-  COD_CHECK(v < partition_.shard_of_node.size());
-  if (u == v) return false;
+  const size_t n = partition_.shard_of_node.size();
+  if (u >= n || v >= n || u == v) return false;
+  // Checked here too so a bad weight is never counted as a cross edge.
+  if (!std::isfinite(weight) || weight < 0.0) return false;
   if (ShardOf(u) != ShardOf(v)) {
     CrossEdgeRejected().Increment();
     return false;
@@ -113,8 +115,8 @@ bool ShardedCodService::AddEdge(NodeId u, NodeId v, double weight) {
 }
 
 bool ShardedCodService::RemoveEdge(NodeId u, NodeId v) {
-  COD_CHECK(u < partition_.shard_of_node.size());
-  COD_CHECK(v < partition_.shard_of_node.size());
+  const size_t n = partition_.shard_of_node.size();
+  if (u >= n || v >= n) return false;
   // A cross-shard edge can never have been admitted, so there is nothing
   // to remove.
   if (ShardOf(u) != ShardOf(v)) return false;

@@ -56,7 +56,7 @@ namespace cod {
 // engine parameters would silently answer differently.
 struct EpochSnapshotMeta {
   uint64_t epoch = 0;
-  uint64_t build_index = 0;  // rebuild ticket; seed + ticket = RNG stream
+  uint64_t build_index = 0;  // rebuild ticket (bookkeeping only)
   uint64_t seed = 0;         // ServiceOptions::seed
   bool degraded = false;     // published index-absent (no kHimor section)
   // ServiceOptions::Fingerprint() of the service that wrote the snapshot

@@ -323,17 +323,44 @@ TEST(DeltaRebuildTest, DegradedEpochDoesNotAdvanceCachesAndRecovers) {
 // Compatibility gates.
 // ---------------------------------------------------------------------------
 
-TEST(DeltaRebuildTest, DeltaModeJoinsTheOptionsFingerprint) {
+TEST(DeltaRebuildTest, FingerprintIgnoresDeltaMode) {
   ServiceOptions a = DeltaOptions();
   ServiceOptions b = a;
   b.delta_rebuild = false;
-  // Delta mode changes the sampling schedule, so its snapshots must never
-  // warm-restore into a non-delta service (or vice versa)...
-  EXPECT_NE(a.Fingerprint(), b.Fingerprint());
-  // ...while the dirty threshold is latency-only and must not gate.
+  // Every build samples the same epoch-independent schedule, so delta mode
+  // changes latency and memory only: its snapshots warm-restore into a
+  // non-delta service (and vice versa)...
+  EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
+  // ...and the dirty threshold, a latency knob, never gates either.
   ServiceOptions c = a;
   c.delta_max_dirty_fraction = 0.9;
   EXPECT_EQ(a.Fingerprint(), c.Fingerprint());
+}
+
+TEST(DeltaRebuildTest, DeltaOnAndOffAnswerIdenticallyAtEveryEpoch) {
+  World w_on = MakeWorld(FuzzSeed(27));
+  World w_off = MakeWorld(FuzzSeed(27));
+  const size_t n = w_on.graph.NumNodes();
+  ServiceOptions off_options = DeltaOptions();
+  off_options.delta_rebuild = false;
+  DynamicCodService on(std::move(w_on.graph), std::move(w_on.attrs),
+                       DeltaOptions());
+  DynamicCodService off(std::move(w_off.graph), std::move(w_off.attrs),
+                        off_options);
+  ExpectSameEpoch(*on.Snapshot().core, *off.Snapshot().core, "first epoch");
+  ExpectSameAnswers(on, off, n, "first epoch");
+  Rng rng_on(FuzzSeed(28));
+  Rng rng_off(FuzzSeed(28));
+  for (const size_t batch : {size_t{1}, size_t{3}, size_t{8}, size_t{2}}) {
+    ASSERT_EQ(ApplyRandomBatch(on, n, batch, rng_on),
+              ApplyRandomBatch(off, n, batch, rng_off));
+    ASSERT_TRUE(on.Refresh().ok());
+    ASSERT_TRUE(off.Refresh().ok());
+    ASSERT_EQ(on.epoch(), off.epoch());
+    const std::string what = "epoch " + std::to_string(on.epoch());
+    ExpectSameEpoch(*on.Snapshot().core, *off.Snapshot().core, what.c_str());
+    ExpectSameAnswers(on, off, n, what.c_str());
+  }
 }
 
 TEST(DeltaRebuildTest, ValidateRejectsBadDirtyFraction) {

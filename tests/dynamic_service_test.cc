@@ -247,7 +247,7 @@ TEST(DynamicServiceTest, AsyncAndSyncRebuildsPublishIdenticalEpochs) {
   async_service.WaitForRebuild();
   ASSERT_EQ(sync_service.epoch(), async_service.epoch());
 
-  // Same build ticket + same edge set => bit-identical epoch cores.
+  // Same edge set => bit-identical epoch cores.
   Rng rng1(11);
   Rng rng2(11);
   for (NodeId q = 0; q < 10; ++q) {

@@ -52,8 +52,8 @@ TEST(HimorTest, EntriesCoverEveryAncestor) {
   const LcaIndex lca(ex.dendrogram);
   Rng rng(1);
   const HimorIndex index =
-      HimorIndex::Build(m, ex.dendrogram, lca, /*theta=*/5, rng,
-                        std::numeric_limits<uint32_t>::max());
+      testing::BuildHimorIndex(m, ex.dendrogram, lca, /*theta=*/5, rng,
+                               std::numeric_limits<uint32_t>::max());
   for (NodeId v = 0; v < 10; ++v) {
     const auto entries = index.RanksOf(v);
     const auto path = ex.dendrogram.PathToRoot(v);
@@ -71,8 +71,8 @@ TEST(HimorTest, DeterministicWorldRanksExact) {
   const LcaIndex lca(ex.dendrogram);
   Rng rng(2);
   const HimorIndex index =
-      HimorIndex::Build(m, ex.dendrogram, lca, /*theta=*/2, rng,
-                        std::numeric_limits<uint32_t>::max());
+      testing::BuildHimorIndex(m, ex.dendrogram, lca, /*theta=*/2, rng,
+                               std::numeric_limits<uint32_t>::max());
   for (NodeId v = 0; v < 10; ++v) {
     for (const auto& entry : index.RanksOf(v)) {
       EXPECT_EQ(entry.rank,
@@ -93,7 +93,7 @@ TEST_P(HimorRandomTest, DeterministicWorldRanksOnRandomGraphs) {
   const Dendrogram d = AgglomerativeCluster(g);
   const LcaIndex lca(d);
   const DiffusionModel m = DiffusionModel::UniformIc(g, 1.0);
-  const HimorIndex index = HimorIndex::Build(
+  const HimorIndex index = testing::BuildHimorIndex(
       m, d, lca, 1, rng, std::numeric_limits<uint32_t>::max());
   for (int trial = 0; trial < 10; ++trial) {
     const NodeId v = static_cast<NodeId>(rng.UniformInt(n));
@@ -121,7 +121,8 @@ TEST(HimorTest, StatisticalRanksMatchOracle) {
   const LcaIndex lca(d);
   const DiffusionModel m = DiffusionModel::WeightedCascadeIc(g);
   Rng rng(3);
-  const HimorIndex index = HimorIndex::Build(m, d, lca, /*theta=*/600, rng);
+  const HimorIndex index =
+      testing::BuildHimorIndex(m, d, lca, /*theta=*/600, rng);
 
   InfluenceOracle oracle(m);
   // Check the hub's rank in its deepest community.
@@ -140,7 +141,8 @@ TEST(HimorTest, FindTopKAncestorWalksTopDown) {
   const DiffusionModel m = DiffusionModel::UniformIc(ex.graph, 1.0);
   const LcaIndex lca(ex.dendrogram);
   Rng rng(4);
-  const HimorIndex index = HimorIndex::Build(m, ex.dendrogram, lca, 2, rng);
+  const HimorIndex index =
+      testing::BuildHimorIndex(m, ex.dendrogram, lca, 2, rng);
   // p=1 on a connected graph: everyone ties at rank 0 in every community,
   // so the largest ancestor (the root) wins for any k.
   const auto* hit = index.FindTopKAncestor(0, ex.c0, 1, ex.dendrogram);
@@ -165,8 +167,9 @@ TEST(HimorTest, SparseIndexAnswersLikeFullIndex) {
   Rng rng1(7);
   Rng rng2(7);
   const uint32_t max_rank = 6;
-  const HimorIndex sparse = HimorIndex::Build(m, d, lca, 1, rng1, max_rank);
-  const HimorIndex full = HimorIndex::Build(
+  const HimorIndex sparse =
+      testing::BuildHimorIndex(m, d, lca, 1, rng1, max_rank);
+  const HimorIndex full = testing::BuildHimorIndex(
       m, d, lca, 1, rng2, std::numeric_limits<uint32_t>::max());
   EXPECT_LE(sparse.NumEntries(), full.NumEntries());
   for (NodeId q = 0; q < 80; ++q) {
@@ -197,7 +200,7 @@ TEST(HimorTest, IndexedAnswerMatchesCompressedChainInDeterministicWorld) {
   const LcaIndex lca(d);
   const DiffusionModel m = DiffusionModel::UniformIc(g, 1.0);
   Rng rng(10);
-  const HimorIndex index = HimorIndex::Build(m, d, lca, 1, rng, 8);
+  const HimorIndex index = testing::BuildHimorIndex(m, d, lca, 1, rng, 8);
   CompressedEvaluator evaluator(m, 1);
   for (NodeId q = 0; q < 70; ++q) {
     for (uint32_t k = 1; k <= 8; k += 3) {
@@ -226,7 +229,8 @@ TEST(HimorTest, FindTopKAncestorReturnsNullWhenNoneQualify) {
   const DiffusionModel m = DiffusionModel::UniformIc(ex.graph, 1.0);
   const LcaIndex lca(ex.dendrogram);
   Rng rng(5);
-  const HimorIndex index = HimorIndex::Build(m, ex.dendrogram, lca, 2, rng);
+  const HimorIndex index =
+      testing::BuildHimorIndex(m, ex.dendrogram, lca, 2, rng);
   // c_ell = C5 = {8,9} is not on node 0's chain: the top-down scan stops
   // immediately after the shared prefix; with k = 0 nothing can qualify.
   const auto* hit = index.FindTopKAncestor(0, ex.c0, 0, ex.dendrogram);

@@ -123,7 +123,13 @@ TEST_P(FuzzSeedTest, BitFlippedHimorNeverCrashes) {
   const Dendrogram d = AgglomerativeCluster(g);
   const LcaIndex lca(d);
   const DiffusionModel m = DiffusionModel::WeightedCascadeIc(g);
-  const HimorIndex index = HimorIndex::Build(m, d, lca, 5, rng);
+  const HimorIndex index =
+      HimorIndex::Build({.model = &m,
+                         .dendrogram = &d,
+                         .lca = &lca,
+                         .theta = 5,
+                         .seed = rng.Next()})
+          .value();
   const std::string path = TempPath("valid_himor.bin");
   ASSERT_TRUE(index.Save(path).ok());
   std::ifstream in(path, std::ios::binary);
@@ -537,17 +543,20 @@ TEST(HimorBudgetTest, ExpiredBudgetFailsBothBuilders) {
   const Dendrogram d = AgglomerativeCluster(g);
   const LcaIndex lca(d);
   const DiffusionModel m = DiffusionModel::WeightedCascadeIc(g);
-  Rng build_rng(1);
-  const Result<HimorIndex> serial =
-      HimorIndex::Build(m, d, lca, 5, build_rng, 16,
-                        Budget{Deadline::After(0.0)});
-  ASSERT_FALSE(serial.ok());
-  EXPECT_EQ(serial.status().code(), StatusCode::kTimeout);
-  const Result<HimorIndex> parallel = HimorIndex::BuildParallel(
-      m, d, lca, 5, /*seed=*/2, 16, /*num_threads=*/4,
-      Budget{Deadline::After(0.0)});
-  ASSERT_FALSE(parallel.ok());
-  EXPECT_EQ(parallel.status().code(), StatusCode::kTimeout);
+  TaskScheduler scheduler(4);
+  for (TaskScheduler* sched : {static_cast<TaskScheduler*>(nullptr),
+                               &scheduler}) {
+    const Result<HimorIndex> built =
+        HimorIndex::Build({.model = &m,
+                           .dendrogram = &d,
+                           .lca = &lca,
+                           .theta = 5,
+                           .seed = 2,
+                           .budget = Budget{Deadline::After(0.0)},
+                           .scheduler = sched});
+    ASSERT_FALSE(built.ok());
+    EXPECT_EQ(built.status().code(), StatusCode::kTimeout);
+  }
 }
 
 TEST(HimorBudgetTest, BuildFailpointFailsTheBuild) {
@@ -556,17 +565,14 @@ TEST(HimorBudgetTest, BuildFailpointFailsTheBuild) {
   const Dendrogram d = AgglomerativeCluster(g);
   const LcaIndex lca(d);
   const DiffusionModel m = DiffusionModel::WeightedCascadeIc(g);
-  Rng build_rng(1);
+  const HimorBuildSpec spec{
+      .model = &m, .dendrogram = &d, .lca = &lca, .theta = 5, .seed = 1};
   ScopedFailpoint fp("himor/build", /*count=*/1);
-  const Result<HimorIndex> built =
-      HimorIndex::Build(m, d, lca, 5, build_rng, 16, Budget{});
+  const Result<HimorIndex> built = HimorIndex::Build(spec);
   ASSERT_FALSE(built.ok());
   EXPECT_EQ(built.status().code(), StatusCode::kIoError);
   // The site is disarmed after one hit: the retry succeeds.
-  Rng retry_rng(1);
-  const Result<HimorIndex> retry =
-      HimorIndex::Build(m, d, lca, 5, retry_rng, 16, Budget{});
-  EXPECT_TRUE(retry.ok());
+  EXPECT_TRUE(HimorIndex::Build(spec).ok());
 }
 
 }  // namespace

@@ -85,7 +85,8 @@ TEST(HimorIoTest, RoundTripAnswersIdentically) {
   const Dendrogram d = AgglomerativeCluster(g);
   const LcaIndex lca(d);
   const DiffusionModel m = DiffusionModel::WeightedCascadeIc(g);
-  const HimorIndex original = HimorIndex::Build(m, d, lca, 10, rng);
+  const HimorIndex original =
+      testing::BuildHimorIndex(m, d, lca, 10, rng);
   const std::string path = TempPath("himor.bin");
   ASSERT_TRUE(original.Save(path).ok());
   Result<HimorIndex> loaded = HimorIndex::Load(path);
@@ -236,7 +237,8 @@ TEST(HimorIoTest, FlipsAndTruncationsFailCleanly) {
   const Dendrogram d = AgglomerativeCluster(g);
   const LcaIndex lca(d);
   const DiffusionModel m = DiffusionModel::WeightedCascadeIc(g);
-  const HimorIndex original = HimorIndex::Build(m, d, lca, 6, rng);
+  const HimorIndex original =
+      testing::BuildHimorIndex(m, d, lca, 6, rng);
   const std::string path = TempPath("himor_base.bin");
   ASSERT_TRUE(original.Save(path).ok());
   const std::string pristine = ReadBytes(path);

@@ -19,9 +19,11 @@
 
 #include "serving/sharded_service.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -466,6 +468,70 @@ TEST(ShardedUpdateTest, CrossShardEdgeIsRejectedAndCounted) {
   EXPECT_TRUE(service.AddEdge(a, a2, 2.0) || service.RemoveEdge(a, a2));
   EXPECT_EQ(service.pending_updates(), 1u);
 }
+
+// Bad update input is refused with false on the mono (1 shard) and the
+// sharded service alike: nothing is queued, nothing aborts, and the next
+// refresh publishes the unchanged edge set.
+class UpdateBoundaryTest : public ::testing::TestWithParam<uint32_t> {
+ protected:
+  void SetUp() override {
+    World w = MakeMultiWorld(41, 2);
+    num_nodes_ = w.graph.NumNodes();
+    service_ = MakeCodService(std::move(w.graph), std::move(w.attrs),
+                              BaseOptions(GetParam()));
+    edges_ = service_->NumEdges();
+  }
+
+  void ExpectNothingApplied() {
+    EXPECT_EQ(service_->pending_updates(), 0u);
+    ASSERT_TRUE(service_->Refresh().ok());
+    EXPECT_EQ(service_->NumEdges(), edges_);
+  }
+
+  size_t num_nodes_ = 0;
+  size_t edges_ = 0;
+  std::unique_ptr<CodServiceInterface> service_;
+};
+
+TEST_P(UpdateBoundaryTest, AddEdgeRefusesOutOfRangeNode) {
+  const NodeId n = static_cast<NodeId>(num_nodes_);
+  EXPECT_FALSE(service_->AddEdge(n, 0));
+  EXPECT_FALSE(service_->AddEdge(0, n));
+  EXPECT_FALSE(service_->AddEdge(kInvalidNode, kInvalidNode));
+  ExpectNothingApplied();
+}
+
+TEST_P(UpdateBoundaryTest, RemoveEdgeRefusesOutOfRangeNode) {
+  const NodeId n = static_cast<NodeId>(num_nodes_);
+  EXPECT_FALSE(service_->RemoveEdge(n, 0));
+  EXPECT_FALSE(service_->RemoveEdge(0, n));
+  EXPECT_FALSE(service_->RemoveEdge(kInvalidNode, 1));
+  ExpectNothingApplied();
+}
+
+TEST_P(UpdateBoundaryTest, AddEdgeRefusesNanWeight) {
+  EXPECT_FALSE(service_->AddEdge(0, 1, std::nan("")));
+  ExpectNothingApplied();
+}
+
+TEST_P(UpdateBoundaryTest, AddEdgeRefusesInfiniteWeight) {
+  EXPECT_FALSE(
+      service_->AddEdge(0, 1, std::numeric_limits<double>::infinity()));
+  EXPECT_FALSE(
+      service_->AddEdge(0, 1, -std::numeric_limits<double>::infinity()));
+  ExpectNothingApplied();
+}
+
+TEST_P(UpdateBoundaryTest, AddEdgeRefusesNegativeWeight) {
+  EXPECT_FALSE(service_->AddEdge(0, 1, -0.5));
+  ExpectNothingApplied();
+  // A valid weight on the same pair is still admitted.
+  EXPECT_TRUE(service_->AddEdge(0, 1, 0.5));
+  EXPECT_EQ(service_->pending_updates(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(MonoAndSharded, UpdateBoundaryTest,
+                         ::testing::Values(1u, 2u));
 
 // ---------------------------------------------------------------------------
 // Per-shard durability: Recover() under a partially damaged layout.

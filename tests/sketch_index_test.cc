@@ -11,7 +11,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -162,27 +164,145 @@ TEST(BottomKAlgebraTest, FullEstimatorTracksDistinctCardinality) {
 // Build identity and structural invariants.
 // ---------------------------------------------------------------------------
 
-TEST(SketchBuildTest, SerialAndParallelBuildsBitIdentical) {
-  const World w = MakeWorld(FuzzSeed(3));
+std::string IndexBytes(const EngineCore& core) {
+  BinaryBufferWriter w;
+  EXPECT_NE(core.himor(), nullptr);
+  if (core.himor() != nullptr) core.himor()->SerializeTo(w);
+  return std::move(w).TakeBytes();
+}
+
+// Every carried field of a sample cache, rows in key order.
+std::string CacheBytes(const HimorSampleCache& cache) {
+  BinaryBufferWriter w;
+  w.WritePod(cache.valid);
+  w.WritePod(cache.theta);
+  w.WritePod(cache.seed);
+  w.WritePod(cache.max_rank);
+  w.WritePod(cache.num_leaves);
+  w.WriteVector(cache.parent);
+  w.WriteVector(cache.set_hash);
+  w.WriteVector(cache.set_size);
+  for (size_t i = 0; i < cache.rr.NumSamples(); ++i) {
+    const RrSlabPool::View v = cache.rr.Sample(i);
+    w.WritePod(v.source);
+    w.WriteVector(std::vector<NodeId>(v.nodes, v.nodes + v.node_count));
+    w.WriteVector(std::vector<uint32_t>(v.offsets,
+                                        v.offsets + v.node_count + 1));
+    w.WriteVector(std::vector<uint32_t>(
+        v.neighbors, v.neighbors + v.offsets[v.node_count]));
+  }
+  w.WriteVector(cache.pair_begin);
+  w.WriteVector(cache.pair_pos);
+  w.WriteVector(cache.pair_tag);
+  w.WriteVector(cache.pair_node);
+  std::vector<uint64_t> keys;
+  for (const auto& [key, row] : cache.rows) keys.push_back(key);
+  std::sort(keys.begin(), keys.end());
+  for (const uint64_t key : keys) {
+    w.WritePod(key);
+    w.WriteVector(cache.rows.at(key).node);
+    w.WriteVector(cache.rows.at(key).count);
+  }
+  return std::move(w).TakeBytes();
+}
+
+// MakeWorld with every edge between the two node halves dropped, so
+// component-scoped builds see several components.
+World MakeSplitWorld(uint64_t seed) {
+  World w = MakeWorld(seed);
+  const NodeId half = static_cast<NodeId>(w.graph.NumNodes() / 2);
+  GraphBuilder b(w.graph.NumNodes());
+  for (EdgeId e = 0; e < w.graph.NumEdges(); ++e) {
+    const auto [u, v] = w.graph.Endpoints(e);
+    if ((u < half) == (v < half)) b.AddEdge(u, v, w.graph.Weight(e));
+  }
+  w.graph = std::move(b).Build();
+  return w;
+}
+
+// (workers, component_scoped, with_cache); workers == 0 = no scheduler.
+class SketchBuildIdentityTest
+    : public ::testing::TestWithParam<std::tuple<size_t, bool, bool>> {};
+
+TEST_P(SketchBuildIdentityTest, EveryBuildModeIsBitIdentical) {
+  const auto [workers, scoped, with_cache] = GetParam();
+  const World w = scoped ? MakeSplitWorld(FuzzSeed(3)) : MakeWorld(FuzzSeed(3));
+  EngineOptions opts = SketchOpts();
+  opts.component_scoped = scoped;
   const uint64_t rng_seed = 77;
   Rng seeder(rng_seed);
-  const uint64_t schedule_seed = seeder.Next();  // the serial build's 1 draw
+  const uint64_t schedule_seed = seeder.Next();  // the Rng form's 1 draw
 
-  EngineCore serial(w.graph, w.attrs, SketchOpts());
+  // Reference: the inline build from an Rng, without a cache.
+  EngineCore reference(w.graph, w.attrs, opts);
   Rng rng(rng_seed);
-  serial.BuildHimor(rng);
-  ASSERT_NE(serial.sketch(), nullptr);
-  EXPECT_EQ(serial.sketch()->schedule_seed(), schedule_seed);
-  EXPECT_EQ(serial.sketch()->theta(), SketchOpts().theta);
-  EXPECT_EQ(serial.sketch()->NumNodes(), w.graph.NumNodes());
+  reference.BuildHimor(rng);
+  ASSERT_NE(reference.sketch(), nullptr);
+  EXPECT_EQ(reference.sketch()->schedule_seed(), schedule_seed);
+  EXPECT_EQ(reference.sketch()->theta(), opts.theta);
+  EXPECT_EQ(reference.sketch()->NumNodes(), w.graph.NumNodes());
+  HimorSampleCache reference_cache;
+  if (with_cache) {
+    EngineCore inline_core(w.graph, w.attrs, opts);
+    ASSERT_TRUE(inline_core
+                    .TryBuildHimor(schedule_seed, Budget{}, nullptr, nullptr,
+                                   nullptr, &reference_cache)
+                    .ok());
+    ASSERT_TRUE(reference_cache.valid);
+  }
 
-  EngineCore par1(w.graph, w.attrs, SketchOpts());
-  par1.BuildHimorParallel(schedule_seed, 1);
-  EngineCore par4(w.graph, w.attrs, SketchOpts());
-  par4.BuildHimorParallel(schedule_seed, 4);
-  const std::string bytes = SketchBytes(serial);
-  EXPECT_EQ(bytes, SketchBytes(par1));
-  EXPECT_EQ(bytes, SketchBytes(par4));
+  std::optional<TaskScheduler> scheduler;
+  if (workers > 0) scheduler.emplace(workers);
+  EngineCore built(w.graph, w.attrs, opts);
+  HimorSampleCache cache;
+  ASSERT_TRUE(built
+                  .TryBuildHimor(schedule_seed, Budget{},
+                                 scheduler ? &*scheduler : nullptr, nullptr,
+                                 nullptr, with_cache ? &cache : nullptr)
+                  .ok());
+  EXPECT_EQ(IndexBytes(reference), IndexBytes(built));
+  EXPECT_EQ(SketchBytes(reference), SketchBytes(built));
+  if (with_cache) {
+    EXPECT_EQ(CacheBytes(reference_cache), CacheBytes(cache));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, SketchBuildIdentityTest,
+    ::testing::Combine(::testing::Values(size_t{0}, size_t{1}, size_t{2},
+                                         size_t{4}),
+                       ::testing::Bool(), ::testing::Bool()));
+
+TEST(SketchBuildTest, BuildSubmittedFromASchedulerWorkerIsBitIdentical) {
+  // The async-rebuild shape: the whole build runs as a rebuild task and
+  // fans its batches out on the same scheduler. With one worker, the only
+  // slot waits on its own batches and must run them inline.
+  const World w = MakeWorld(FuzzSeed(5));
+  const uint64_t seed = 91;
+  EngineCore reference(w.graph, w.attrs, SketchOpts());
+  HimorSampleCache reference_cache;
+  ASSERT_TRUE(reference
+                  .TryBuildHimor(seed, Budget{}, nullptr, nullptr, nullptr,
+                                 &reference_cache)
+                  .ok());
+  for (const size_t workers : {size_t{1}, size_t{2}}) {
+    TaskScheduler scheduler(workers);
+    EngineCore nested(w.graph, w.attrs, SketchOpts());
+    HimorSampleCache cache;
+    Status status = Status::FailedPrecondition("not run");
+    {
+      TaskGroup group(scheduler);
+      scheduler.Submit(TaskPriority::kRebuild, group, [&] {
+        status = nested.TryBuildHimor(seed, Budget{}, &scheduler, nullptr,
+                                      nullptr, &cache);
+      });
+      group.Wait();
+    }
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(IndexBytes(reference), IndexBytes(nested)) << workers;
+    EXPECT_EQ(SketchBytes(reference), SketchBytes(nested)) << workers;
+    EXPECT_EQ(CacheBytes(reference_cache), CacheBytes(cache)) << workers;
+  }
 }
 
 TEST(SketchBuildTest, ThresholdAndSignatureInvariants) {
@@ -251,8 +371,8 @@ TEST_P(SketchPruneTest, PruningNeverChangesExactAnswers) {
   off_opts.sketch_prune = false;
   EngineCore pruned(w.graph, w.attrs, SketchOpts());
   EngineCore plain(w.graph, w.attrs, off_opts);
-  pruned.BuildHimorParallel(seed + 1, 2);
-  plain.BuildHimorParallel(seed + 1, 2);
+  pruned.BuildHimor(seed + 1);
+  plain.BuildHimor(seed + 1);
   ASSERT_NE(pruned.sketch(), nullptr);
 
   size_t levels_pruned = 0;
@@ -326,7 +446,7 @@ TEST(SketchRungTest, ShedBatchBottomsOutInSketchRung) {
   // must equal a direct sketch query (the rung is deterministic — no rng).
   const World w = MakeWorld(FuzzSeed(62));
   EngineCore core(w.graph, w.attrs, SketchOpts());
-  core.BuildHimorParallel(17, 2);
+  core.BuildHimor(17);
   ASSERT_NE(core.sketch(), nullptr);
 
   std::vector<QuerySpec> specs;
@@ -368,7 +488,7 @@ TEST(SketchRungTest, RungAbsentWhenDisabledOrSketchless) {
   EngineOptions no_rung = SketchOpts();
   no_rung.sketch_rung = false;
   EngineCore core(w.graph, w.attrs, no_rung);
-  core.BuildHimorParallel(19, 2);
+  core.BuildHimor(19);
 
   std::vector<QuerySpec> specs;
   for (NodeId q = 0; q < 12; ++q) {

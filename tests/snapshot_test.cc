@@ -298,8 +298,8 @@ TEST(SnapshotTest, RecoveredServiceKeepsRebuildDeterminism) {
   // Two histories: (a) one service applies updates U1 then U2 with a
   // rebuild after each; (b) a service applies U1, rebuilds, is destroyed,
   // recovers from its snapshot, then applies U2 and rebuilds. The final
-  // epochs must answer identically — recovery restores the rebuild ticket,
-  // so the second build draws the same seed stream either way.
+  // epochs must answer identically — every build draws the same schedule
+  // seed, so the second build's bytes depend on its graph alone.
   const auto u1 = [](DynamicCodService& s) {
     ASSERT_TRUE(s.AddEdge(3, 77));
     ASSERT_TRUE(s.AddEdge(5, 91));

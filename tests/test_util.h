@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/engine_core.h"
+#include "core/himor.h"
 #include "graph/attributes.h"
 #include "graph/graph.h"
 #include "hierarchy/dendrogram.h"
@@ -21,6 +22,22 @@ inline bool SameResult(const CodResult& a, const CodResult& b) {
          a.answered_from_index == b.answered_from_index &&
          a.code == b.code && a.degraded == b.degraded &&
          a.variant_served == b.variant_served;
+}
+
+// Unbudgeted HIMOR build whose schedule seed is one rng.Next() draw.
+inline HimorIndex BuildHimorIndex(const DiffusionModel& model,
+                                  const Dendrogram& dendrogram,
+                                  const LcaIndex& lca, uint32_t theta,
+                                  Rng& rng, uint32_t max_rank = 16) {
+  Result<HimorIndex> built = HimorIndex::Build(
+      HimorBuildSpec{.model = &model,
+                     .dendrogram = &dendrogram,
+                     .lca = &lca,
+                     .theta = theta,
+                     .max_rank = max_rank,
+                     .seed = rng.Next()});
+  COD_CHECK(built.ok());
+  return std::move(built).value();
 }
 
 // Path 0-1-2-...-(n-1).
