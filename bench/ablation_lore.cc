@@ -74,13 +74,14 @@ CommunityId SelectCell(ScoreVariant variant, const Dendrogram& d,
 int Run(int argc, char** argv) {
   const Flags flags = ParseFlags(argc, argv, /*default_queries=*/40,
                                  {"cora-sim", "pubmed-sim"});
+  RefuseBenchJson(flags, "ablation_lore");
 
   // ---- A: reclustering-score variants. ----
   std::printf("== Ablation A: LORE reclustering-score variants (k = %u) ==\n",
               kK);
   for (const std::string& name : flags.datasets) {
     const AttributedGraph data = LoadDatasetOrDie(name);
-    CodEngine engine(data.graph, data.attributes, {});
+    EngineCore engine(data.graph, data.attributes, {});
     CompressedEvaluator evaluator(engine.model(), engine.options().theta);
     Rng rng(flags.seed);
     const std::vector<Query> queries =
@@ -164,7 +165,7 @@ int Run(int argc, char** argv) {
       EngineOptions options;
       options.transform.beta = beta;
       options.cache_codr_hierarchies = true;
-      CodEngine engine(data.graph, data.attributes, options);
+      EngineCore engine(data.graph, data.attributes, options);
       CompressedEvaluator evaluator(engine.model(), options.theta);
       Rng query_rng(flags.seed + 1);
       const std::vector<Query> queries =
@@ -206,7 +207,7 @@ int Run(int argc, char** argv) {
       EngineOptions options;
       options.transform.transform = transform;
       options.cache_codr_hierarchies = true;
-      CodEngine engine(data.graph, data.attributes, options);
+      EngineCore engine(data.graph, data.attributes, options);
       CompressedEvaluator evaluator(engine.model(), options.theta);
       Rng query_rng(flags.seed + 1);
       const std::vector<Query> queries =
@@ -282,7 +283,7 @@ int Run(int argc, char** argv) {
       "reclustering cost (root). Larger beta raises attribute density of\n"
       "CODR communities until the hierarchy over-fragments; the gated\n"
       "(query-aware) transforms beat attribute-blind Jaccard on phi.\n");
-  return 0;
+  return DumpMetrics(flags);
 }
 
 }  // namespace

@@ -11,7 +11,9 @@
 //                        (common/metrics.h JsonDump) to PATH
 //   --bench-json=PATH    write the bench's canonical result entries
 //                        (BenchJsonEntry below) to PATH as a JSON array —
-//                        the regression-tracking format CI archives
+//                        the regression-tracking format CI archives. Benches
+//                        that produce no entries refuse it (exit 2) rather
+//                        than write nothing; see RefuseBenchJson.
 
 #ifndef COD_BENCH_BENCH_UTIL_H_
 #define COD_BENCH_BENCH_UTIL_H_
@@ -24,7 +26,9 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "core/cod_engine.h"
+#include "core/engine_core.h"
+#include "core/query_batch.h"
+#include "core/query_workspace.h"
 #include "eval/datasets.h"
 #include "eval/query_gen.h"
 
@@ -81,6 +85,18 @@ inline Flags ParseFlags(int argc, char** argv, size_t default_queries,
   }
   if (flags.smoke && flags.queries > 20) flags.queries = 20;
   return flags;
+}
+
+// For benches that emit no BenchJsonEntry: a --bench-json request is an
+// error (exit 2), never a silently missing file. Call right after
+// ParseFlags.
+inline void RefuseBenchJson(const Flags& flags, const char* bench) {
+  if (flags.bench_json.empty()) return;
+  std::fprintf(stderr,
+               "%s writes no bench entries; --bench-json is not supported "
+               "(use --metrics-json)\n",
+               bench);
+  std::exit(2);
 }
 
 // Writes MetricsRegistry::JsonDump() to flags.metrics_json if set (and

@@ -22,11 +22,12 @@ constexpr uint32_t kVerifyTheta = 300;
 int Run(int argc, char** argv) {
   const Flags flags = ParseFlags(argc, argv, /*default_queries=*/2,
                                  {"cora-sim"});
+  RefuseBenchJson(flags, "case_study_cora");
   const AttributedGraph data = LoadDatasetOrDie(flags.datasets.front());
-  CodEngine engine(data.graph, data.attributes, {});
+  EngineCore engine(data.graph, data.attributes, {});
   Rng rng(flags.seed);
   engine.BuildHimor(rng);
-  QueryWorkspace ws = engine.MakeWorkspace(0);
+  QueryWorkspace ws(engine, 0);
   ws.rng() = rng;
 
   std::printf("== Case study (Sec. V-E analog): %s, k = %u ==\n\n",
@@ -42,7 +43,10 @@ int Run(int argc, char** argv) {
   std::vector<std::pair<Query, CodResult>> fallback;
   for (const Query& query : candidates) {
     if (selected.size() >= flags.queries) break;
-    CodResult codl = engine.QueryCodL(query.node, query.attribute, kK, ws);
+    CodResult codl = engine.Query(
+        {.variant = CodVariant::kCodL, .node = query.node, .k = kK,
+         .attrs = {query.attribute}},
+        ws);
     if (!codl.found || codl.members.size() < 5) continue;
     if (!AtcSearch(data.graph, data.attributes, query.node, query.attribute)
              .empty()) {
@@ -87,7 +91,7 @@ int Run(int argc, char** argv) {
       "community; CODL's community is larger with lower conductance, while\n"
       "CAC returns tiny communities and ACQ large ones where the query\n"
       "ranks poorly.\n");
-  return 0;
+  return DumpMetrics(flags);
 }
 
 }  // namespace

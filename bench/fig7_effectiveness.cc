@@ -48,6 +48,7 @@ int Run(int argc, char** argv) {
       argc, argv, /*default_queries=*/0,
       {"cora-sim", "citeseer-sim", "pubmed-sim", "retweet-sim", "amazon-sim",
        "dblp-sim"});
+  RefuseBenchJson(flags, "fig7_effectiveness");
   std::printf("== Fig. 7: effectiveness vs community search, k = 1..%u ==\n",
               kMaxK);
   std::printf("(measures averaged over all queries, unserved queries count "
@@ -57,7 +58,7 @@ int Run(int argc, char** argv) {
     const AttributedGraph data = LoadDatasetOrDie(name);
     EngineOptions options;
     options.cache_codr_hierarchies = true;
-    CodEngine engine(data.graph, data.attributes, options);
+    EngineCore engine(data.graph, data.attributes, options);
     CompressedEvaluator evaluator(engine.model(), options.theta);
     MonteCarloSimulator simulator(engine.model());
     Rng rng(flags.seed);
@@ -160,7 +161,7 @@ int Run(int argc, char** argv) {
       "ACQ/ATC/CAC; CODL leads topology and attribute density among COD\n"
       "variants; sizes grow and I(q) falls as k increases; CODL serves\n"
       "queries with the lowest I(q).\n");
-  return 0;
+  return DumpMetrics(flags);
 }
 
 }  // namespace

@@ -11,7 +11,9 @@
 // vector per variant). The default --threads=1 keeps per-query averages
 // comparable to a sequential sweep; higher thread counts divide wall time
 // without changing any answer (see core/query_batch.h's determinism
-// contract).
+// contract). --metrics-json dumps the per-variant
+// cod_query_latency_seconds histograms and stage timings of the run; the
+// bench writes no BenchJsonEntry, so --bench-json is refused (exit 2).
 
 #include "bench/bench_util.h"
 #include "common/table.h"
@@ -37,6 +39,12 @@ int Run(int argc, char** argv) {
       argc, argv, /*default_queries=*/0,
       {"cora-sim", "citeseer-sim", "pubmed-sim", "retweet-sim", "amazon-sim",
        "dblp-sim", "livejournal-sim"});
+  RefuseBenchJson(flags, "fig9_runtime");
+  // CI smoke: the first dataset only, at 8 queries per variant.
+  if (flags.smoke) {
+    flags.datasets.resize(1);
+    if (flags.queries == 0) flags.queries = 8;
+  }
   std::printf("== Fig. 9: query runtime (seconds/query, %zu thread%s) ==\n\n",
               flags.threads, flags.threads == 1 ? "" : "s");
   TaskScheduler pool(flags.threads);
@@ -44,7 +52,7 @@ int Run(int argc, char** argv) {
       {"dataset", "queries", "CODR", "CODL-", "CODL", "speedup R/L"});
   for (const std::string& name : flags.datasets) {
     const AttributedGraph data = LoadDatasetOrDie(name);
-    CodEngine engine(data.graph, data.attributes, {});  // no CODR cache
+    EngineCore engine(data.graph, data.attributes, {});  // no CODR cache
     Rng rng(flags.seed);
     engine.BuildHimor(rng);
 
@@ -70,7 +78,7 @@ int Run(int argc, char** argv) {
     for (int v = 0; v < 3; ++v) {
       const std::vector<QuerySpec> specs = SpecsFor(queries, variants[v], k);
       timer.Restart();
-      engine.QueryBatch(specs, pool, flags.seed);
+      RunQueryBatch(engine, specs, pool, flags.seed);
       per_variant[v] = timer.ElapsedSeconds();
     }
     const double nq = static_cast<double>(queries.size());
@@ -88,7 +96,7 @@ int Run(int argc, char** argv) {
       "\nExpected shape (paper): CODL- beats CODR (local vs global\n"
       "reclustering); CODL beats CODL- by a further 5-10x via HIMOR; the\n"
       "gap widens with graph size (paper reports ~25x CODR/CODL on DBLP).\n");
-  return 0;
+  return DumpMetrics(flags);
 }
 
 }  // namespace

@@ -30,7 +30,6 @@
 #include "bench/bench_util.h"
 #include "common/task_scheduler.h"
 #include "common/timer.h"
-#include "core/cod_engine.h"
 #include "serving/dynamic_service.h"
 #include "eval/datasets.h"
 #include "eval/query_gen.h"
@@ -47,9 +46,9 @@ const AttributedGraph& Cora() {
   return *data;
 }
 
-const CodEngine& CoraEngine() {
-  static CodEngine* engine = [] {
-    auto* e = new CodEngine(Cora().graph, Cora().attributes, {});
+const EngineCore& CoraEngine() {
+  static EngineCore* engine = [] {
+    auto* e = new EngineCore(Cora().graph, Cora().attributes, {});
     return e;
   }();
   return *engine;
@@ -71,7 +70,7 @@ void BM_RrGraphSample(benchmark::State& state) {
 BENCHMARK(BM_RrGraphSample);
 
 void BM_LcaQuery(benchmark::State& state) {
-  const CodEngine& engine = CoraEngine();
+  const EngineCore& engine = CoraEngine();
   const LcaIndex& lca = engine.base_lca();
   Rng rng(2);
   const size_t n = engine.graph().NumNodes();
@@ -94,7 +93,7 @@ BENCHMARK(BM_AgglomerativeCluster)->Unit(benchmark::kMillisecond);
 
 void BM_LoreScores(benchmark::State& state) {
   const auto& data = Cora();
-  const CodEngine& engine = CoraEngine();
+  const EngineCore& engine = CoraEngine();
   Rng rng(3);
   const auto queries = GenerateQueries(data.attributes, 64, rng);
   size_t i = 0;
@@ -111,7 +110,7 @@ BENCHMARK(BM_LoreScores);
 
 void BM_CompressedEvaluate(benchmark::State& state) {
   const auto& data = Cora();
-  CodEngine& engine = const_cast<CodEngine&>(CoraEngine());
+  EngineCore& engine = const_cast<EngineCore&>(CoraEngine());
   CompressedEvaluator evaluator(engine.model(), 10);
   Rng rng(4);
   const auto queries = GenerateQueries(data.attributes, 16, rng);
@@ -126,7 +125,7 @@ void BM_CompressedEvaluate(benchmark::State& state) {
 BENCHMARK(BM_CompressedEvaluate)->Unit(benchmark::kMillisecond);
 
 void BM_HimorBuild(benchmark::State& state) {
-  const CodEngine& engine = CoraEngine();
+  const EngineCore& engine = CoraEngine();
   const DiffusionModel& model = engine.model();
   Rng rng(5);
   for (auto _ : state) {
@@ -142,7 +141,7 @@ void BM_HimorBuild(benchmark::State& state) {
 BENCHMARK(BM_HimorBuild)->Unit(benchmark::kMillisecond);
 
 void BM_InfluenceMaximizationRis(benchmark::State& state) {
-  const CodEngine& engine = CoraEngine();
+  const EngineCore& engine = CoraEngine();
   Rng rng(7);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
@@ -154,17 +153,20 @@ BENCHMARK(BM_InfluenceMaximizationRis)->Unit(benchmark::kMillisecond);
 
 void BM_CodlQuery(benchmark::State& state) {
   const auto& data = Cora();
-  CodEngine& engine = const_cast<CodEngine&>(CoraEngine());
+  EngineCore& engine = const_cast<EngineCore&>(CoraEngine());
   Rng rng(6);
   if (engine.himor() == nullptr) engine.BuildHimor(rng);
   const auto queries = GenerateQueries(data.attributes, 32, rng);
-  QueryWorkspace ws = engine.MakeWorkspace(0);
+  QueryWorkspace ws(engine, 0);
   ws.rng() = rng;
   size_t i = 0;
   for (auto _ : state) {
     const Query& q = queries[i++ % queries.size()];
     benchmark::DoNotOptimize(
-        engine.QueryCodL(q.node, q.attribute, 5, ws).found);
+        engine.Query(
+            {.variant = CodVariant::kCodL, .node = q.node, .k = 5,
+             .attrs = {q.attribute}},
+            ws).found);
   }
 }
 BENCHMARK(BM_CodlQuery)->Unit(benchmark::kMillisecond);
@@ -174,7 +176,7 @@ BENCHMARK(BM_CodlQuery)->Unit(benchmark::kMillisecond);
 // time may differ across configs). Each repetition rebuilds the full pool;
 // quantiles are over repetition times after warm-up.
 std::vector<bench::BenchJsonEntry> RunCanonicalRrPoolSuite(bool smoke) {
-  const CodEngine& engine = CoraEngine();
+  const EngineCore& engine = CoraEngine();
   const CodChain chain = engine.BuildCoduChain(/*q=*/0);
   const uint32_t theta = smoke ? 4 : 16;
   const size_t warmup = smoke ? 1 : 3;
@@ -385,7 +387,9 @@ std::vector<bench::BenchJsonEntry> RunSnapshotRestartSuite(bool smoke) {
     Rng rng(3);
     const auto attrs = service.engine().attributes().AttributesOf(0);
     COD_CHECK(!attrs.empty());
-    (void)service.QueryCodL(0, attrs[0], /*k=*/5, rng);
+    (void)service.Query(
+        {.variant = CodVariant::kCodL, .node = 0, .k = 5, .attrs = {attrs[0]}},
+        rng);
   };
 
   std::vector<double> cold_times;

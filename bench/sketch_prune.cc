@@ -79,8 +79,8 @@ int Run(int argc, char** argv) {
   EngineOptions plain_opts = opts;
   plain_opts.sketch_prune = false;
 
-  CodEngine pruned(data.graph, data.attributes, opts);
-  CodEngine plain(data.graph, data.attributes, plain_opts);
+  EngineCore pruned(data.graph, data.attributes, opts);
+  EngineCore plain(data.graph, data.attributes, plain_opts);
   // Same schedule seed: both engines hold bit-identical HIMOR indexes and
   // sketches, so any answer divergence below is the prune bound's fault.
   TaskScheduler build_sched(flags.threads);
@@ -91,15 +91,16 @@ int Run(int argc, char** argv) {
   const std::vector<Query> queries =
       GenerateQueries(data.attributes, flags.queries, query_rng);
 
-  QueryWorkspace ws_pruned = pruned.MakeWorkspace(flags.seed);
-  QueryWorkspace ws_plain = plain.MakeWorkspace(flags.seed);
+  QueryWorkspace ws_pruned(pruned, flags.seed);
+  QueryWorkspace ws_plain(plain, flags.seed);
 
   // ---- 1. Prune speedup on the exact evaluators. ----
   struct VariantCase {
     const char* label;
-    bool attributed;  // CODL- takes the query attribute; CODU ignores it
+    CodVariant variant;  // CODL- takes the query attribute; CODU ignores it
   };
-  const VariantCase cases[] = {{"codu", false}, {"codlminus", true}};
+  const VariantCase cases[] = {{"codu", CodVariant::kCodU},
+                               {"codlminus", CodVariant::kCodLMinus}};
   std::vector<BenchJsonEntry> entries;
   WallTimer timer;
   for (const VariantCase& vc : cases) {
@@ -108,23 +109,18 @@ int Run(int argc, char** argv) {
     size_t mismatches = 0;
     for (size_t i = 0; i < queries.size(); ++i) {
       const Query& q = queries[i];
+      const QuerySpec spec{vc.variant, q.node, kTopK, {q.attribute}};
       const uint64_t qseed = flags.seed + 1000 + i;
       ws_pruned.ReseedRng(qseed);
       timer.Restart();
-      const CodResult a =
-          vc.attributed
-              ? pruned.QueryCodLMinus(q.node, q.attribute, kTopK, ws_pruned)
-              : pruned.QueryCodU(q.node, kTopK, ws_pruned);
+      const CodResult a = pruned.Query(spec, ws_pruned);
       on.times.push_back(timer.ElapsedSeconds());
       on.levels_pruned += a.stats.sketch_levels_pruned;
       on.levels_considered += a.stats.sketch_levels_considered;
 
       ws_plain.ReseedRng(qseed);
       timer.Restart();
-      const CodResult b =
-          vc.attributed
-              ? plain.QueryCodLMinus(q.node, q.attribute, kTopK, ws_plain)
-              : plain.QueryCodU(q.node, kTopK, ws_plain);
+      const CodResult b = plain.Query(spec, ws_plain);
       off.times.push_back(timer.ElapsedSeconds());
       if (!SameAnswer(a, b)) {
         ++mismatches;
@@ -164,7 +160,8 @@ int Run(int argc, char** argv) {
   for (size_t i = 0; i < queries.size(); ++i) {
     const Query& q = queries[i];
     ws_pruned.ReseedRng(flags.seed + 2000 + i);
-    const CodResult exact = pruned.QueryCodU(q.node, kTopK, ws_pruned);
+    const CodResult exact = pruned.Query(
+        {.variant = CodVariant::kCodU, .node = q.node, .k = kTopK}, ws_pruned);
     const QuerySpec spec{CodVariant::kCodSketch, q.node, kTopK, {}};
     timer.Restart();
     const CodResult approx = pruned.Query(spec, ws_pruned);

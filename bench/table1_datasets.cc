@@ -12,13 +12,14 @@ namespace {
 int Run(int argc, char** argv) {
   const Flags flags = ParseFlags(argc, argv, /*default_queries=*/100,
                                  DatasetNames());
+  RefuseBenchJson(flags, "table1_datasets");
   std::printf("== Table I: network statistics ==\n");
   std::printf("(avg |H_l(q)| over %zu LORE chains per dataset)\n\n",
               flags.queries);
   TablePrinter table({"network", "|V|", "|E|", "|A|", "avg |H_l(q)|"});
   for (const std::string& name : flags.datasets) {
     const AttributedGraph data = LoadDatasetOrDie(name);
-    CodEngine engine(data.graph, data.attributes, {});
+    EngineCore engine(data.graph, data.attributes, {});
     Rng rng(flags.seed);
     const std::vector<Query> queries =
         GenerateQueries(data.attributes, flags.queries, rng);
@@ -32,7 +33,7 @@ int Run(int argc, char** argv) {
                   TablePrinter::Fmt(levels / queries.size(), 1)});
   }
   table.Print(stdout);
-  return 0;
+  return DumpMetrics(flags);
 }
 
 }  // namespace

@@ -14,7 +14,8 @@
 #include <cstdlib>
 
 #include "baselines/atc.h"
-#include "core/cod_engine.h"
+#include "core/engine_core.h"
+#include "core/query_workspace.h"
 #include "eval/datasets.h"
 #include "eval/metrics.h"
 #include "eval/query_gen.h"
@@ -29,12 +30,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  cod::CodEngine engine(data->graph, data->attributes, {});
+  cod::EngineCore engine(data->graph, data->attributes, {});
   cod::Rng rng(7);
   std::printf("building HIMOR index (|V|=%zu, |E|=%zu)...\n",
               data->graph.NumNodes(), data->graph.NumEdges());
   engine.BuildHimor(rng);
-  cod::QueryWorkspace ws = engine.MakeWorkspace(7);
+  cod::QueryWorkspace ws(engine, 7);
 
   cod::Rng query_rng(11);
   const std::vector<cod::Query> candidates =
@@ -45,9 +46,12 @@ int main(int argc, char** argv) {
     std::printf("\ncandidate chair: author %u, topic '%s'\n", candidate.node,
                 venue.c_str());
 
-    const cod::CodResult community =
-        engine.QueryCodL(candidate.node, candidate.attribute,
-                         engine.options().k, ws);
+    const cod::CodResult community = engine.Query(
+        {.variant = cod::CodVariant::kCodL,
+         .node = candidate.node,
+         .k = engine.options().k,
+         .attrs = {candidate.attribute}},
+        ws);
     if (!community.found) {
       std::printf("  no characteristic community: this author is not a top-%u"
                   " influencer at any scale\n",

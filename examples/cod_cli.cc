@@ -31,7 +31,8 @@
 #include <vector>
 
 #include "common/task_scheduler.h"
-#include "core/cod_engine.h"
+#include "core/engine_core.h"
+#include "core/query_workspace.h"
 #include "eval/datasets.h"
 #include "eval/metrics.h"
 #include "eval/query_gen.h"
@@ -42,9 +43,9 @@
 namespace {
 
 using cod::AttributedGraph;
-using cod::CodEngine;
 using cod::CodResult;
 using cod::CodVariant;
+using cod::EngineCore;
 using cod::EngineOptions;
 using cod::QuerySpec;
 using cod::QueryWorkspace;
@@ -187,7 +188,7 @@ int CmdIndex(int argc, char** argv) {
   options.theta = flags.theta;
   std::printf("clustering %zu nodes and building HIMOR (theta = %u)...\n",
               data->graph.NumNodes(), flags.theta);
-  CodEngine engine(data->graph, data->attributes, options);
+  EngineCore engine(data->graph, data->attributes, options);
   Rng rng(flags.seed);
   engine.BuildHimor(rng);
   const Status saved = engine.SaveHimor(argv[4]);
@@ -218,9 +219,9 @@ int CmdQuery(int argc, char** argv) {
 
   EngineOptions options;
   options.theta = flags.theta;
-  CodEngine engine(data->graph, data->attributes, options);
+  EngineCore engine(data->graph, data->attributes, options);
   Rng rng(flags.seed);
-  QueryWorkspace ws = engine.MakeWorkspace(flags.seed);
+  QueryWorkspace ws(engine, flags.seed);
 
   // Map the variant flag onto the canonical QuerySpec entry point.
   QuerySpec spec;
@@ -258,6 +259,13 @@ int CmdQuery(int argc, char** argv) {
     result = engine.Query(spec, ws);
   }
 
+  if (result.code == cod::StatusCode::kInvalidArgument) {
+    std::fprintf(stderr,
+                 "invalid query: k = %u exceeds the index's max rank (or node "
+                 "%u is out of range)\n",
+                 flags.k, node);
+    return 2;
+  }
   if (!result.found) {
     std::printf("no characteristic community: node %u is not top-%u "
                 "influential at any scale of its %s hierarchy\n",
@@ -305,7 +313,7 @@ int CmdPromoters(int argc, char** argv) {
   }
   EngineOptions options;
   options.theta = flags.theta;
-  CodEngine engine(data->graph, data->attributes, options);
+  EngineCore engine(data->graph, data->attributes, options);
   if (!flags.index_path.empty()) {
     const Status loaded = engine.LoadHimor(flags.index_path);
     if (!loaded.ok()) return Fail(loaded);

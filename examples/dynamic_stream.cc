@@ -440,8 +440,10 @@ int main(int argc, char** argv) {
                   event, adds, removals, service->pending_updates());
       for (size_t w = 0; w < watched.size(); ++w) {
         const cod::Query& q = watched[w];
-        const cod::CodResult r = service->QueryCodL(q.node, q.attribute,
-                                                    /*k=*/5, rng);
+        const cod::CodResult r = service->Query(
+            {.variant = cod::CodVariant::kCodL, .node = q.node, .k = 5,
+             .attrs = {q.attribute}},
+            rng);
         std::printf("  user %-5u topic %-7s -> %s (%zu members)\n", q.node,
                     watched_topics[w].c_str(),
                     r.found ? "community" : "none", r.members.size());
@@ -490,8 +492,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   cod::Rng warm_rng(11);
-  const cod::CodResult warm = (*recovered)->QueryCodL(
-      probe.node, probe.attribute, /*k=*/5, warm_rng);
+  const cod::CodResult warm = (*recovered)->Query(
+      {.variant = cod::CodVariant::kCodL, .node = probe.node, .k = 5,
+       .attrs = {probe.attribute}},
+      warm_rng);
   const double warm_ttfq = timer.ElapsedSeconds();
 
   // Re-measure the cold path for an apples-to-apples number: rebuild the
@@ -507,7 +511,10 @@ int main(int argc, char** argv) {
     std::unique_ptr<cod::CodServiceInterface> cold = cod::MakeCodService(
         std::move(gb).Build(), std::move(fresh2->attributes), cold_options);
     cod::Rng cold_rng(11);
-    (void)cold->QueryCodL(probe.node, probe.attribute, /*k=*/5, cold_rng);
+    (void)cold->Query(
+        {.variant = cod::CodVariant::kCodL, .node = probe.node, .k = 5,
+         .attrs = {probe.attribute}},
+        cold_rng);
     cold_ttfq = timer.ElapsedSeconds();
   }
 

@@ -14,7 +14,8 @@
 #include <string>
 
 #include "common/table.h"
-#include "core/cod_engine.h"
+#include "core/compressed_eval.h"
+#include "core/engine_core.h"
 #include "eval/datasets.h"
 #include "graph/graph_io.h"
 
@@ -54,7 +55,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  cod::CodEngine engine(data.graph, data.attributes, {});
+  cod::EngineCore engine(data.graph, data.attributes, {});
   std::printf("node %u: degree %u, attributes:", node,
               data.graph.Degree(node));
   for (const cod::AttributeId a : data.attributes.AttributesOf(node)) {

@@ -6,7 +6,7 @@
 //      co-authorship graph (edge weight = number of co-authored papers);
 //   3. attach each author's publication venues as attributes;
 //   4. ask for an author's characteristic community on a venue topic with
-//      the ordinary CodEngine — the projection made the problem homogeneous.
+//      the ordinary EngineCore — the projection made the problem homogeneous.
 //
 //   $ ./hin_bibliographic [num_authors]
 
@@ -16,7 +16,8 @@
 #include <string>
 #include <vector>
 
-#include "core/cod_engine.h"
+#include "core/engine_core.h"
+#include "core/query_workspace.h"
 #include "graph/hin.h"
 #include "eval/query_gen.h"
 
@@ -119,16 +120,20 @@ int main(int argc, char** argv) {
       std::move(attr_builder).Build(projection->graph.NumNodes());
 
   // COD on the projected graph.
-  cod::CodEngine engine(projection->graph, attrs, {});
+  cod::EngineCore engine(projection->graph, attrs, {});
   engine.BuildHimor(/*seed=*/23);
-  cod::QueryWorkspace ws = engine.MakeWorkspace(0);
+  cod::QueryWorkspace ws(engine, 0);
   ws.rng() = rng;
   cod::Rng query_rng(29);
   const std::vector<cod::Query> queries =
       cod::GenerateQueries(attrs, 5, query_rng);
   for (const cod::Query& q : queries) {
-    const cod::CodResult r =
-        engine.QueryCodL(q.node, q.attribute, engine.options().k, ws);
+    const cod::CodResult r = engine.Query(
+        {.variant = cod::CodVariant::kCodL,
+         .node = q.node,
+         .k = engine.options().k,
+         .attrs = {q.attribute}},
+        ws);
     std::printf("author %-5u topic %-7s -> ", q.node,
                 attrs.Name(q.attribute).c_str());
     if (!r.found) {

@@ -14,7 +14,8 @@
 #include <cstdlib>
 #include <vector>
 
-#include "core/cod_engine.h"
+#include "core/engine_core.h"
+#include "core/query_workspace.h"
 #include "eval/datasets.h"
 #include "eval/metrics.h"
 #include "eval/query_gen.h"
@@ -30,11 +31,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
     return 1;
   }
-  cod::CodEngine engine(data->graph, data->attributes, {});
+  cod::EngineCore engine(data->graph, data->attributes, {});
   cod::Rng rng(3);
   std::printf("indexing influence ranks (HIMOR)...\n");
   engine.BuildHimor(rng);
-  cod::QueryWorkspace ws = engine.MakeWorkspace(3);
+  cod::QueryWorkspace ws(engine, 3);
 
   cod::Rng candidate_rng(5);
   const std::vector<cod::Query> candidates =
@@ -51,8 +52,10 @@ int main(int argc, char** argv) {
   std::vector<Shortlisted> shortlist;
 
   for (const cod::Query& candidate : candidates) {
-    const cod::CodResult community = engine.QueryCodL(
-        candidate.node, candidate.attribute, engine.options().k, ws);
+    const cod::CodResult community = engine.Query(
+        {.variant = cod::CodVariant::kCodL, .node = candidate.node,
+         .k = engine.options().k, .attrs = {candidate.attribute}},
+        ws);
     const double influence =
         simulator.EstimateInfluence(candidate.node, 200, rng);
     if (!community.found) {

@@ -1,4 +1,4 @@
-// Quickstart: build a small attributed graph, construct a CodEngine, and ask
+// Quickstart: build a small attributed graph, construct an EngineCore, and ask
 // for a node's characteristic community — the largest community on the query
 // topic in which the node is one of the top-k most influential members.
 //
@@ -9,7 +9,8 @@
 
 #include <cstdio>
 
-#include "core/cod_engine.h"
+#include "core/engine_core.h"
+#include "core/query_workspace.h"
 
 int main() {
   // 1. Build the graph (15 undirected edges over 10 nodes).
@@ -35,17 +36,20 @@ int main() {
   cod::EngineOptions options;
   options.k = 1;       // require the query to be the single most influential
   options.theta = 200; // RR graphs per node (tiny graph -> sample generously)
-  cod::CodEngine engine(graph, attrs, options);
+  cod::EngineCore engine(graph, attrs, options);
 
   // 4. Build the HIMOR index once, then query through a workspace (one
   //    workspace per thread; this example is single-threaded).
   cod::Rng rng(/*seed=*/42);
   engine.BuildHimor(rng);
-  cod::QueryWorkspace ws = engine.MakeWorkspace(/*seed=*/42);
+  cod::QueryWorkspace ws(engine, /*seed=*/42);
 
   const cod::AttributeId topic = attrs.Find("DB");
   auto show = [&](cod::NodeId query, uint32_t k) {
-    const cod::CodResult result = engine.QueryCodL(query, topic, k, ws);
+    const cod::CodResult result = engine.Query(
+        {.variant = cod::CodVariant::kCodL, .node = query, .k = k,
+         .attrs = {topic}},
+        ws);
     if (!result.found) {
       std::printf(
           "node %u is not a top-%u influencer in any DB community\n", query,
@@ -68,7 +72,8 @@ int main() {
   show(/*query=*/0, /*k=*/2);
 
   // Compare with the topic-blind variant to see what the attribute adds.
-  const cod::CodResult plain = engine.QueryCodU(/*query=*/0, /*k=*/2, ws);
+  const cod::CodResult plain =
+      engine.Query({.variant = cod::CodVariant::kCodU, .node = 0, .k = 2}, ws);
   std::printf("topic-blind characteristic community of node 0 (k=2): %zu "
               "members\n",
               plain.found ? plain.members.size() : 0);

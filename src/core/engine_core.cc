@@ -77,6 +77,7 @@ struct VariantSites {
   Counter* ok;
   Counter* timeout;
   Counter* cancelled;
+  Counter* invalid_argument;
 };
 
 const VariantSites& SitesFor(CodVariant variant) {
@@ -85,14 +86,20 @@ const VariantSites& SitesFor(CodVariant variant) {
     MetricsRegistry& reg = MetricsRegistry::Instance();
     for (size_t i = 0; i < s.size(); ++i) {
       const std::string v = CodVariantName(static_cast<CodVariant>(i));
-      s[i].latency = reg.GetHistogram("cod_query_latency_seconds{variant=\"" +
-                                      v + "\"}");
+      // 1 us .. ~10 s: index and sketch answers take about a microsecond,
+      // far below the default buckets' 100 us floor.
+      s[i].latency = reg.GetHistogram(
+          "cod_query_latency_seconds{variant=\"" + v + "\"}",
+          HistogramOptions::Exponential(1e-6, 3.16, 15));
       s[i].ok = reg.GetCounter("cod_queries_total{variant=\"" + v +
                                "\",outcome=\"ok\"}");
       s[i].timeout = reg.GetCounter("cod_queries_total{variant=\"" + v +
                                     "\",outcome=\"timeout\"}");
       s[i].cancelled = reg.GetCounter("cod_queries_total{variant=\"" + v +
                                       "\",outcome=\"cancelled\"}");
+      s[i].invalid_argument = reg.GetCounter(
+          "cod_queries_total{variant=\"" + v +
+          "\",outcome=\"invalid_argument\"}");
     }
     return s;
   }();
@@ -297,6 +304,21 @@ CommunityId EngineCore::ScopeTopFor(const Dendrogram& dendrogram,
     c = dendrogram.Parent(c);
   }
   return c;
+}
+
+bool EngineCore::AcceptsQuery(CodVariant variant, NodeId q,
+                              uint32_t k) const {
+  if (q >= graph_->NumNodes()) return false;
+  switch (variant) {
+    case CodVariant::kCodL:
+    case CodVariant::kCodUIndexed:
+      return k <= (himor_.has_value() ? himor_->max_rank()
+                                      : options_.himor_max_rank);
+    case CodVariant::kCodSketch:
+      return sketch_.has_value() && k >= 1 && k <= sketch_->rank_depth();
+    default:
+      return true;
+  }
 }
 
 CodChain EngineCore::BuildCoduChain(NodeId q) const {
@@ -529,10 +551,19 @@ CodResult EngineCore::EvaluateChain(const CodChain& chain, NodeId q,
 CodResult EngineCore::Query(const QuerySpec& spec, QueryWorkspace& ws) const {
   COD_DCHECK(ws.bound_core() == this);
   ws.stats() = QueryStats{};
-  ws.SetParallelSampling(spec.parallel_sampling);
   const uint32_t k = spec.k == 0 ? options_.k : spec.k;
-  const auto start = std::chrono::steady_clock::now();
   CodResult result;
+  // The service boundary: refuse what the variants below would crash on.
+  if (!AcceptsQuery(spec.variant, spec.node, k)) {
+    result.code = StatusCode::kInvalidArgument;
+    result.variant_served = spec.variant;
+    if (MetricsRegistry::enabled()) {
+      SitesFor(spec.variant).invalid_argument->Increment();
+    }
+    return result;
+  }
+  ws.SetParallelSampling(spec.parallel_sampling);
+  const auto start = std::chrono::steady_clock::now();
   // Component-scoped cores answer queries on single-node components
   // definitively: no edges means no influence and no community (kOk with
   // found=false, not an error). The guard keeps every evaluator — and
@@ -626,80 +657,6 @@ CodResult EngineCore::Query(const QuerySpec& spec, QueryWorkspace& ws) const {
     }
   }
   return result;
-}
-
-CodResult EngineCore::QueryCodU(NodeId q, uint32_t k,
-                                QueryWorkspace& ws) const {
-  QuerySpec spec;
-  spec.variant = CodVariant::kCodU;
-  spec.node = q;
-  spec.k = k;
-  return Query(spec, ws);
-}
-
-CodResult EngineCore::QueryCodR(NodeId q, AttributeId attr, uint32_t k,
-                                QueryWorkspace& ws) const {
-  QuerySpec spec;
-  spec.variant = CodVariant::kCodR;
-  spec.node = q;
-  spec.k = k;
-  spec.attrs.assign(1, attr);
-  return Query(spec, ws);
-}
-
-CodResult EngineCore::QueryCodR(NodeId q, std::span<const AttributeId> attrs,
-                                uint32_t k, QueryWorkspace& ws) const {
-  QuerySpec spec;
-  spec.variant = CodVariant::kCodR;
-  spec.node = q;
-  spec.k = k;
-  spec.attrs.assign(attrs.begin(), attrs.end());
-  return Query(spec, ws);
-}
-
-CodResult EngineCore::QueryCodLMinus(NodeId q, AttributeId attr, uint32_t k,
-                                     QueryWorkspace& ws) const {
-  QuerySpec spec;
-  spec.variant = CodVariant::kCodLMinus;
-  spec.node = q;
-  spec.k = k;
-  spec.attrs.assign(1, attr);
-  return Query(spec, ws);
-}
-
-CodResult EngineCore::QueryCodLMinus(NodeId q,
-                                     std::span<const AttributeId> attrs,
-                                     uint32_t k, QueryWorkspace& ws) const {
-  QuerySpec spec;
-  spec.variant = CodVariant::kCodLMinus;
-  spec.node = q;
-  spec.k = k;
-  spec.attrs.assign(attrs.begin(), attrs.end());
-  return Query(spec, ws);
-}
-
-CodResult EngineCore::QueryCodL(NodeId q, AttributeId attr, uint32_t k,
-                                QueryWorkspace& ws) const {
-  QuerySpec spec;
-  spec.variant = CodVariant::kCodL;
-  spec.node = q;
-  spec.k = k;
-  spec.attrs.assign(1, attr);
-  return Query(spec, ws);
-}
-
-CodResult EngineCore::QueryCodL(NodeId q, std::span<const AttributeId> attrs,
-                                uint32_t k, QueryWorkspace& ws) const {
-  QuerySpec spec;
-  spec.variant = CodVariant::kCodL;
-  spec.node = q;
-  spec.k = k;
-  spec.attrs.assign(attrs.begin(), attrs.end());
-  return Query(spec, ws);
-}
-
-CodResult EngineCore::QueryCodUIndexed(NodeId q, uint32_t k) const {
-  return DoCodUIndexed(q, k);
 }
 
 CodResult EngineCore::DoCodU(NodeId q, uint32_t k, QueryWorkspace& ws) const {
@@ -887,9 +844,6 @@ CodResult EngineCore::DoCodUIndexed(NodeId q, uint32_t k) const {
   COD_CHECK(himor_.has_value());  // build/load HIMOR during setup
   CodResult result;
   result.variant_served = CodVariant::kCodUIndexed;
-  // Singleton guard for the workspace-free QueryCodUIndexed entry, which
-  // bypasses Query()'s dispatch (and its guard).
-  if (IsSingletonComponent(q)) return result;
   const CommunityId top = ScopeTopFor(base_, q);
   result.num_levels =
       top == kInvalidCommunity
@@ -973,7 +927,8 @@ QueryExplanation EngineCore::ExplainCodL(NodeId q, AttributeId attr,
     return explanation;
   }
   // Fall back to the uninstrumented slow path (identical code path).
-  explanation.result = QueryCodL(q, attr, k, ws);
+  explanation.result = Query(
+      {.variant = CodVariant::kCodL, .node = q, .k = k, .attrs = {attr}}, ws);
   return explanation;
 }
 

@@ -9,7 +9,12 @@
 //
 //     shared_ptr<const EngineCore> core = ...;   // built once per epoch
 //     QueryWorkspace ws(*core, seed);            // one per thread, reusable
-//     CodResult r = core->QueryCodL(q, attr, k, ws);
+//     CodResult r = core->Query(
+//         {.variant = CodVariant::kCodL, .node = q, .k = k, .attrs = {attr}},
+//         ws);
+//
+// Query() is the one single-query entry point; RunQueryBatch
+// (core/query_batch.h) fans many specs across a scheduler.
 //
 // The only mutable member is the optional CODR hierarchy cache: a bounded
 // (LRU-evicting) per-attribute dendrogram cache with SINGLE-FLIGHT misses —
@@ -138,17 +143,20 @@ enum class CodVariant : uint8_t {
 // cod_query_latency_seconds{variant="codl"}).
 const char* CodVariantName(CodVariant variant);
 
-// One COD query, fully described: the canonical input of
-// EngineCore::Query. The QueryCodX convenience overloads and the batch API
-// (core/query_batch.h) all funnel into this.
+// One COD query, fully described: the input of EngineCore::Query, which
+// the batch API (core/query_batch.h) and the serving tier also funnel into.
+// Attributed variants accept a topic SET: an edge counts as
+// query-attributed when both endpoints carry at least one of the attrs.
 struct QuerySpec {
   CodVariant variant = CodVariant::kCodL;
   NodeId node = kInvalidNode;
   // 0 means "use the engine default" (EngineOptions::k).
   uint32_t k = 0;
   // Query topic set; ignored by kCodU / kCodUIndexed. A single element uses
-  // the single-attribute paths (including the CODR hierarchy cache).
-  std::vector<AttributeId> attrs;
+  // the single-attribute paths (including the CODR hierarchy cache). The
+  // `= {}` lets designated initializers omit it without a
+  // -Wmissing-field-initializers warning.
+  std::vector<AttributeId> attrs = {};
   // Per-query wall-clock budget in seconds, honored by the batch API only;
   // 0 means "use the batch default" (BatchOptions::default_budget_seconds).
   // Direct EngineCore::Query calls use the workspace budget instead.
@@ -269,40 +277,19 @@ class EngineCore {
   // is ignored here (that field belongs to the batch API); the effective
   // budget is ws.budget().
   //
+  // Bad input is refused with result.code = kInvalidArgument (no answer,
+  // no RNG draw) instead of a crash: spec.node >= NumNodes(), and k above
+  // the index's max rank on kCodL / kCodUIndexed (himor_max_rank when the
+  // core serves index-absent). kCodSketch additionally needs sketch() and
+  // k <= its rank depth. Attribute ids nobody holds are valid queries.
+  //
   // Budget discipline: every variant honors ws.budget() — the LORE edge
   // scan, RR sampling, and the agglomerative (re)clustering passes all poll
   // it and unwind with result.code set to kTimeout / kCancelled.
   CodResult Query(const QuerySpec& spec, QueryWorkspace& ws) const;
 
-  // ---- Query variants: thin wrappers over Query(). Each attributed
-  // variant also accepts a topic SET (an edge counts as query-attributed
-  // when both endpoints carry at least one of the attributes). All use `ws`
-  // for scratch and randomness; the workspace must be bound to this core
-  // (QueryWorkspace ctor / Rebind). ----
-  CodResult QueryCodU(NodeId q, uint32_t k, QueryWorkspace& ws) const;
-  CodResult QueryCodR(NodeId q, AttributeId attr, uint32_t k,
-                      QueryWorkspace& ws) const;
-  CodResult QueryCodR(NodeId q, std::span<const AttributeId> attrs,
-                      uint32_t k, QueryWorkspace& ws) const;
-  CodResult QueryCodLMinus(NodeId q, AttributeId attr, uint32_t k,
-                           QueryWorkspace& ws) const;
-  CodResult QueryCodLMinus(NodeId q, std::span<const AttributeId> attrs,
-                           uint32_t k, QueryWorkspace& ws) const;
-  // Index-only CODU: the largest base-hierarchy community where q is top-k,
-  // answered entirely from HIMOR in O(dep(q)) — no sampling at query time.
-  // Requires himor() and k <= options().himor_max_rank. This workspace-free
-  // form bypasses Query() and records no metrics or stats; route through
-  // Query({kCodUIndexed, ...}, ws) to get both.
-  CodResult QueryCodUIndexed(NodeId q, uint32_t k) const;
-
-  // Require himor() (BuildHimor / LoadHimor during setup) — unless the core
-  // was published index-absent (MarkIndexAbsent), in which case CODL serves
-  // the CODL- computation tagged degraded.
-  CodResult QueryCodL(NodeId q, AttributeId attr, uint32_t k,
-                      QueryWorkspace& ws) const;
-  CodResult QueryCodL(NodeId q, std::span<const AttributeId> attrs,
-                      uint32_t k, QueryWorkspace& ws) const;
-
+  // CODL with its LORE score profile and index decision (see
+  // QueryExplanation). Requires himor().
   QueryExplanation ExplainCodL(NodeId q, AttributeId attr, uint32_t k,
                                QueryWorkspace& ws) const;
 
@@ -387,6 +374,10 @@ class EngineCore {
   Result<LoreChain> BuildCodlChainFromScores(
       const LoreScores& scores, NodeId q, std::span<const AttributeId> attrs,
       const Budget& budget) const;
+
+  // Query()'s input check: q is a node of this core, and k fits the index
+  // (kCodL, kCodUIndexed) or the sketch (kCodSketch) the variant reads.
+  bool AcceptsQuery(CodVariant variant, NodeId q, uint32_t k) const;
 
   // ---- Variant implementations behind Query()'s dispatch. These fill
   // ws.stats() stage-by-stage; Query() owns the metrics tagging. ----

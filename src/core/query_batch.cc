@@ -118,6 +118,9 @@ void TallyResult(const CodResult& result, BatchStats* stats) {
     case StatusCode::kCancelled:
       ++stats->cancelled;
       break;
+    case StatusCode::kInvalidArgument:
+      ++stats->invalid_argument;
+      break;
     default:
       ++stats->timeout;
       break;
@@ -133,6 +136,7 @@ void PublishBatchMetrics(const BatchStats& stats) {
     Counter* degraded;
     Counter* timeout;
     Counter* cancelled;
+    Counter* invalid_argument;
     Counter* shard_missed;
     Counter* per_rung[BatchStats::kMaxRungs];
   };
@@ -145,6 +149,8 @@ void PublishBatchMetrics(const BatchStats& stats) {
     s.timeout = reg.GetCounter("cod_batch_queries_total{outcome=\"timeout\"}");
     s.cancelled =
         reg.GetCounter("cod_batch_queries_total{outcome=\"cancelled\"}");
+    s.invalid_argument = reg.GetCounter(
+        "cod_batch_queries_total{outcome=\"invalid_argument\"}");
     s.shard_missed = reg.GetCounter("cod_batch_shard_missed_total");
     for (size_t r = 0; r < BatchStats::kMaxRungs; ++r) {
       s.per_rung[r] = reg.GetCounter("cod_batch_degraded_total{rung=\"" +
@@ -156,6 +162,9 @@ void PublishBatchMetrics(const BatchStats& stats) {
   if (stats.degraded > 0) sites.degraded->Increment(stats.degraded);
   if (stats.timeout > 0) sites.timeout->Increment(stats.timeout);
   if (stats.cancelled > 0) sites.cancelled->Increment(stats.cancelled);
+  if (stats.invalid_argument > 0) {
+    sites.invalid_argument->Increment(stats.invalid_argument);
+  }
   if (stats.shard_missed > 0) {
     sites.shard_missed->Increment(stats.shard_missed);
   }
@@ -179,9 +188,14 @@ CodResult ShardMissedResult(const QuerySpec& spec) {
 
 }  // namespace
 
-CodResult RunQuerySpec(const EngineCore& core, const QuerySpec& spec,
-                       QueryWorkspace& ws) {
-  return core.Query(spec, ws);
+void BatchStats::Add(const BatchStats& other) {
+  served_ok += other.served_ok;
+  degraded += other.degraded;
+  timeout += other.timeout;
+  cancelled += other.cancelled;
+  invalid_argument += other.invalid_argument;
+  shard_missed += other.shard_missed;
+  for (size_t r = 0; r < kMaxRungs; ++r) per_rung[r] += other.per_rung[r];
 }
 
 CodResult RunQuerySpecWithBudget(const EngineCore& core, const QuerySpec& spec,
@@ -220,24 +234,11 @@ CodResult RunQuerySpecWithBudget(const EngineCore& core, const QuerySpec& spec,
       result.degraded = result.degraded || s > 0;
       return result;
     }
-    if (result.code == StatusCode::kCancelled) return result;  // no retries
+    // Only a timeout walks on: a cancelled caller wants no retries, and
+    // refused input is refused by every rung alike.
+    if (result.code != StatusCode::kTimeout) return result;
   }
   return result;  // every rung timed out
-}
-
-std::vector<CodResult> RunQueryBatch(const EngineCore& core,
-                                     std::span<const QuerySpec> specs,
-                                     TaskScheduler& scheduler,
-                                     uint64_t batch_seed) {
-  return RunQueryBatch(core, specs, scheduler, batch_seed, BatchOptions{});
-}
-
-std::vector<CodResult> RunQueryBatch(const EngineCore& core,
-                                     std::span<const QuerySpec> specs,
-                                     TaskScheduler& scheduler,
-                                     uint64_t batch_seed,
-                                     const BatchOptions& options) {
-  return RunQueryBatch(core, specs, scheduler, batch_seed, options, nullptr);
 }
 
 std::vector<CodResult> RunQueryBatch(const EngineCore& core,
@@ -317,13 +318,7 @@ std::vector<CodResult> RunQueryBatch(const EngineCore& core,
         TallyResult(results[i], &local);
       }
       std::lock_guard<std::mutex> lock(mu);
-      merged.served_ok += local.served_ok;
-      merged.degraded += local.degraded;
-      merged.timeout += local.timeout;
-      merged.cancelled += local.cancelled;
-      for (size_t r = 0; r < BatchStats::kMaxRungs; ++r) {
-        merged.per_rung[r] += local.per_rung[r];
-      }
+      merged.Add(local);
     });
   }
   group.Wait();
@@ -427,14 +422,7 @@ std::vector<CodResult> RunShardedQueryBatch(
           TallyResult(results[i], &local);
         }
         std::lock_guard<std::mutex> lock(mu);
-        merged.served_ok += local.served_ok;
-        merged.degraded += local.degraded;
-        merged.timeout += local.timeout;
-        merged.cancelled += local.cancelled;
-        merged.shard_missed += local.shard_missed;
-        for (size_t r = 0; r < BatchStats::kMaxRungs; ++r) {
-          merged.per_rung[r] += local.per_rung[r];
-        }
+        merged.Add(local);
       });
     }
   }

@@ -50,13 +50,9 @@ namespace cod {
 class TaskScheduler;
 class QueryWorkspace;
 
-// QuerySpec now lives in core/engine_core.h (it is the input of the
-// canonical EngineCore::Query entry point); this header re-exports it via
-// that include for existing callers.
-
 // Batch-level budget and degradation policy for RunQueryBatch. The default
 // object is "no limits": every query runs its requested variant to
-// completion, exactly like the options-free overload.
+// completion.
 struct BatchOptions {
   // Default per-query budget in seconds (0 = unlimited). Each query's
   // effective deadline is Earliest(per-query deadline, batch_deadline).
@@ -87,15 +83,18 @@ struct BatchOptions {
 // locally and merge once at the end, so filling this costs nothing per
 // query; the same totals feed the process-wide MetricsRegistry
 // (cod_batch_queries_total{outcome=...}, cod_batch_degraded_total{rung=...}).
-// Per-batch outcome tallies. The five outcome counters PARTITION the batch:
-// served_ok + degraded + timeout + cancelled + shard_missed equals the
-// number of specs, with every query in exactly one bucket. (`shed` is an
+// The six outcome counters PARTITION the batch: served_ok + degraded +
+// timeout + cancelled + invalid_argument + shard_missed equals the number
+// of specs, with every query in exactly one bucket. (`shed` is an
 // orthogonal flag on the whole batch, not a bucket.)
 struct BatchStats {
   uint64_t served_ok = 0;    // kOk from the requested variant (rung 0)
   uint64_t degraded = 0;     // kOk from a cheaper rung (degraded = true)
   uint64_t timeout = 0;      // every rung timed out
   uint64_t cancelled = 0;    // cancellation (skips remaining rungs)
+  // Refused input (kInvalidArgument, see EngineCore::Query): an
+  // out-of-range node or a k the index cannot answer. Never retried.
+  uint64_t invalid_argument = 0;
   // Served answers by ladder rung; rung 0 is the requested variant. The
   // ladder never exceeds 5 rungs (see DegradationLadder in the .cc; the
   // fifth is the approximate sketch rung, offered only when the core
@@ -115,6 +114,8 @@ struct BatchStats {
 
   // Real answers only — shard-missed non-answers are excluded.
   uint64_t Served() const { return served_ok + degraded; }
+  // Adds another (disjoint) tally's counters; `shed` is left alone.
+  void Add(const BatchStats& other);
 };
 
 // The RNG seed batch query `index` runs with; exposed so tests and callers
@@ -125,47 +126,30 @@ inline uint64_t BatchQuerySeed(uint64_t batch_seed, size_t index) {
   return SplitMix64(state);
 }
 
-// Runs one spec against `core` using `ws` (the workspace's current RNG
-// stream; RunQueryBatch reseeds it per query). Exposed for sequential
-// re-verification of batch answers. Ignores budgets and the ladder.
-CodResult RunQuerySpec(const EngineCore& core, const QuerySpec& spec,
-                       QueryWorkspace& ws);
-
 // Runs one spec under `options`' budget discipline, walking the degradation
-// ladder on timeout. Every rung reseeds the workspace RNG from `query_seed`,
-// so the answer for a given (spec, options, seed, budget outcome sequence)
-// is deterministic. Exposed for sequential re-verification of batch answers
-// (pass BatchQuerySeed(batch_seed, i) as `query_seed`).
+// ladder on timeout (refused input and cancellation return at once). Every
+// rung reseeds the workspace RNG from `query_seed`, so the answer for a
+// given (spec, options, seed, budget outcome sequence) is deterministic.
+// Exposed for sequential re-verification of batch answers (pass
+// BatchQuerySeed(batch_seed, i) as `query_seed`).
 CodResult RunQuerySpecWithBudget(const EngineCore& core, const QuerySpec& spec,
                                  QueryWorkspace& ws,
                                  const BatchOptions& options,
                                  uint64_t query_seed);
 
-// Fans `specs` across `scheduler` and blocks until every result is filled.
-// Thread-safe: concurrent batches may share one scheduler (each batch waits
-// on its own TaskGroup, never on global idleness).
-std::vector<CodResult> RunQueryBatch(const EngineCore& core,
-                                     std::span<const QuerySpec> specs,
-                                     TaskScheduler& scheduler,
-                                     uint64_t batch_seed);
-
-// As above, with per-query budgets, batch deadline / cancellation, and the
-// degradation ladder. The default BatchOptions makes this identical to the
-// options-free overload.
+// Fans `specs` across `scheduler` and blocks until every result is filled,
+// under `options`' per-query budgets, batch deadline / cancellation and
+// degradation ladder (the default BatchOptions runs every requested
+// variant to completion). `stats` (ignored when null) receives the batch's
+// aggregate outcome tallies. Thread-safe: concurrent batches may share one
+// scheduler (each batch waits on its own TaskGroup, never on global
+// idleness).
 std::vector<CodResult> RunQueryBatch(const EngineCore& core,
                                      std::span<const QuerySpec> specs,
                                      TaskScheduler& scheduler,
                                      uint64_t batch_seed,
-                                     const BatchOptions& options);
-
-// As above, additionally filling `stats` (ignored when null) with the
-// batch's aggregate outcome tallies.
-std::vector<CodResult> RunQueryBatch(const EngineCore& core,
-                                     std::span<const QuerySpec> specs,
-                                     TaskScheduler& scheduler,
-                                     uint64_t batch_seed,
-                                     const BatchOptions& options,
-                                     BatchStats* stats);
+                                     const BatchOptions& options = {},
+                                     BatchStats* stats = nullptr);
 
 // ---- Sharded scatter/gather (the serving tier's router, src/serving/). ----
 

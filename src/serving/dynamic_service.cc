@@ -704,23 +704,12 @@ void DynamicCodService::MaybeRefresh() {
   // staleness. The owner polls RefreshDue() and calls Refresh().
 }
 
-CodResult DynamicCodService::QueryCodL(NodeId q, AttributeId attr, uint32_t k,
-                                       Rng& rng) {
+CodResult DynamicCodService::Query(const QuerySpec& spec, Rng& rng) {
   MaybeRefresh();  // may SCHEDULE a rebuild; never runs one inline
   const EpochSnapshot snap = Snapshot();
   QueryWorkspace& ws = TlsWorkspaceFor(*snap.core);
   ws.rng() = rng;
-  const CodResult result = snap.core->QueryCodL(q, attr, k, ws);
-  rng = ws.rng();
-  return result;
-}
-
-CodResult DynamicCodService::QueryCodU(NodeId q, uint32_t k, Rng& rng) {
-  MaybeRefresh();  // may SCHEDULE a rebuild; never runs one inline
-  const EpochSnapshot snap = Snapshot();
-  QueryWorkspace& ws = TlsWorkspaceFor(*snap.core);
-  ws.rng() = rng;
-  const CodResult result = snap.core->QueryCodU(q, k, ws);
+  const CodResult result = snap.core->Query(spec, ws);
   rng = ws.rng();
   return result;
 }

@@ -13,10 +13,10 @@
 // (fraction of the snapshot's edge count), a rebuild is SCHEDULED — as a
 // rebuild-priority task on `scheduler` under async_rebuild, or left to the
 // owner (RefreshDue() / Refresh()) otherwise. Query paths never rebuild
-// inline: QueryCodL/U only
-// snapshot-and-serve, so a threshold-crossing query costs the same as any
-// other. Between rebuilds, answers are stale by at most the pending-update
-// set, which is always inspectable.
+// inline: Query and QueryBatch only snapshot-and-serve, so a
+// threshold-crossing query costs the same as any other. Between rebuilds,
+// answers are stale by at most the pending-update set, which is always
+// inspectable.
 //
 // Concurrency model (RCU-style epoch publication): each epoch is an
 // immutable EngineCore published through an atomic shared_ptr. Readers call
@@ -82,7 +82,7 @@
 
 #include "common/metrics.h"
 #include "common/task_scheduler.h"
-#include "core/cod_engine.h"
+#include "core/engine_core.h"
 #include "serving/service_interface.h"
 
 namespace cod {
@@ -172,9 +172,7 @@ class DynamicCodService : public CodServiceInterface {
   // caller owns rebuilds via RefreshDue()/Refresh(). Scratch comes from a
   // lazily built thread-local QueryWorkspace rebound to the snapshot, so
   // repeated single queries do not reallocate.
-  CodResult QueryCodL(NodeId q, AttributeId attr, uint32_t k,
-                      Rng& rng) override;
-  CodResult QueryCodU(NodeId q, uint32_t k, Rng& rng) override;
+  CodResult Query(const QuerySpec& spec, Rng& rng) override;
 
   // Fans a workload across `scheduler` against ONE snapshot of the current
   // epoch; deterministic given (snapshot, specs, batch_seed) — see

@@ -79,20 +79,22 @@ class CodServiceInterface {
   // waiting through scheduled retries (test/shutdown hook).
   virtual void WaitForRebuild() = 0;
 
-  // Single-query convenience: serves from the current epoch of the engine
-  // that owns q (snapshot-and-serve; never rebuilds inline). `rng`
-  // advances exactly as if the query ran alone against that engine.
-  virtual CodResult QueryCodL(NodeId q, AttributeId attr, uint32_t k,
-                              Rng& rng) = 0;
-  virtual CodResult QueryCodU(NodeId q, uint32_t k, Rng& rng) = 0;
+  // One query, served from the current epoch of the engine that owns
+  // spec.node (snapshot-and-serve; never rebuilds inline), through
+  // EngineCore::Query — so bad input comes back as kInvalidArgument, never
+  // a crash. `rng` advances exactly as if the query ran alone against that
+  // engine. spec.budget_seconds is ignored (budgets are a batch feature).
+  virtual CodResult Query(const QuerySpec& spec, Rng& rng) = 0;
 
   // Fans a workload across `scheduler` against ONE snapshot per engine,
   // gathered back into spec order. Deterministic given (epoch contents,
   // specs, batch_seed, effective options): query i always runs with
   // BatchQuerySeed(batch_seed, i) keyed by its position in `specs`,
-  // regardless of shard layout, chunking, or worker count. `stats`
-  // (ignored when null) receives the batch's aggregate tallies, including
-  // BatchStats::shard_missed for deadline-missed shards.
+  // regardless of shard layout, chunking, or worker count. Refused specs
+  // (see EngineCore::Query) come back kInvalidArgument in their slot while
+  // the rest of the batch is served. `stats` (ignored when null) receives
+  // the batch's aggregate tallies, including BatchStats::shard_missed for
+  // deadline-missed shards.
   virtual std::vector<CodResult> QueryBatch(std::span<const QuerySpec> specs,
                                             TaskScheduler& scheduler,
                                             uint64_t batch_seed,

@@ -208,15 +208,8 @@ void ShardedCodService::WaitForRebuild() {
   for (const auto& shard : shards_) shard->WaitForRebuild();
 }
 
-CodResult ShardedCodService::QueryCodL(NodeId q, AttributeId attr, uint32_t k,
-                                       Rng& rng) {
-  COD_CHECK(q < partition_.shard_of_node.size());
-  return shards_[ShardOf(q)]->QueryCodL(q, attr, k, rng);
-}
-
-CodResult ShardedCodService::QueryCodU(NodeId q, uint32_t k, Rng& rng) {
-  COD_CHECK(q < partition_.shard_of_node.size());
-  return shards_[ShardOf(q)]->QueryCodU(q, k, rng);
+CodResult ShardedCodService::Query(const QuerySpec& spec, Rng& rng) {
+  return shards_[QueryShardOf(spec.node)]->Query(spec, rng);
 }
 
 std::vector<CodResult> ShardedCodService::QueryBatch(
@@ -234,8 +227,7 @@ std::vector<CodResult> ShardedCodService::QueryBatch(
     inputs[s].core = epochs.back().core.get();
   }
   for (size_t i = 0; i < specs.size(); ++i) {
-    COD_CHECK(specs[i].node < partition_.shard_of_node.size());
-    inputs[ShardOf(specs[i].node)].indices.push_back(i);
+    inputs[QueryShardOf(specs[i].node)].indices.push_back(i);
   }
   return RunShardedQueryBatch(inputs, specs, scheduler, batch_seed, options,
                               stats);

@@ -99,13 +99,13 @@ class ShardedCodService : public CodServiceInterface {
   bool RefreshAsync() override;
   void WaitForRebuild() override;
 
-  // Routed to the shard that owns q's component.
-  CodResult QueryCodL(NodeId q, AttributeId attr, uint32_t k,
-                      Rng& rng) override;
-  CodResult QueryCodU(NodeId q, uint32_t k, Rng& rng) override;
+  // Routed to the shard that owns spec.node's component (an out-of-range
+  // node goes to shard 0, whose core refuses it).
+  CodResult Query(const QuerySpec& spec, Rng& rng) override;
 
   // The scatter/gather path: snapshots one epoch per shard, routes specs
-  // by the partition, and runs RunShardedQueryBatch (determinism and
+  // by the partition (out-of-range nodes to shard 0, as in Query), and
+  // runs RunShardedQueryBatch (determinism and
   // degradation contract documented there and above).
   using CodServiceInterface::QueryBatch;
   std::vector<CodResult> QueryBatch(std::span<const QuerySpec> specs,
@@ -133,6 +133,12 @@ class ShardedCodService : public CodServiceInterface {
                                       uint32_t shard);
 
  private:
+  // ShardOf for a query node; out-of-range nodes route to shard 0 (every
+  // shard core spans the full node id space and refuses them alike).
+  uint32_t QueryShardOf(NodeId v) const {
+    return v < partition_.shard_of_node.size() ? ShardOf(v) : 0;
+  }
+
   ShardedCodService(std::shared_ptr<const AttributeTable> attrs,
                     const ServiceOptions& options, GraphPartition partition,
                     std::vector<std::unique_ptr<DynamicCodService>> shards);

@@ -128,13 +128,21 @@ void ExpectSameAnswers(DynamicCodService& a, DynamicCodService& b,
     Rng rng_b(1000 + q);
     const auto node_attrs = attrs.AttributesOf(q);
     if (!node_attrs.empty()) {
-      const CodResult ra = a.QueryCodL(q, node_attrs[0], 5, rng_a);
-      const CodResult rb = b.QueryCodL(q, node_attrs[0], 5, rng_b);
+      const CodResult ra = a.Query(
+          {.variant = CodVariant::kCodL, .node = q, .k = 5,
+           .attrs = {node_attrs[0]}},
+          rng_a);
+      const CodResult rb = b.Query(
+          {.variant = CodVariant::kCodL, .node = q, .k = 5,
+           .attrs = {node_attrs[0]}},
+          rng_b);
       EXPECT_TRUE(testing::SameResult(ra, rb))
           << what << ": CODL answer diverged at node " << q;
     }
-    const CodResult ua = a.QueryCodU(q, 3, rng_a);
-    const CodResult ub = b.QueryCodU(q, 3, rng_b);
+    const CodResult ua = a.Query(
+        {.variant = CodVariant::kCodU, .node = q, .k = 3}, rng_a);
+    const CodResult ub = b.Query(
+        {.variant = CodVariant::kCodU, .node = q, .k = 3}, rng_b);
     EXPECT_TRUE(testing::SameResult(ua, ub))
         << what << ": CODU answer diverged at node " << q;
   }

@@ -54,7 +54,9 @@ TEST(DynamicServiceTest, InitialEpochServesQueries) {
   for (NodeId q = 0; q < 10; ++q) {
     const auto attrs = service.engine().attributes().AttributesOf(q);
     if (attrs.empty()) continue;
-    found += service.QueryCodL(q, attrs[0], 5, rng).found;
+    found += service.Query(
+        {.variant = CodVariant::kCodL, .node = q, .k = 5, .attrs = {attrs[0]}},
+        rng).found;
   }
   EXPECT_GT(found, 0);
 }
@@ -91,7 +93,7 @@ TEST(DynamicServiceTest, RefreshAppliesUpdatesToEngine) {
 // Satellite regression (non-blocking rebuild pipeline): sync-mode queries
 // used to run a FULL epoch rebuild — graph build, clustering, HIMOR —
 // inline when their MaybeRefresh crossed the drift threshold, so one
-// unlucky QueryCodL stalled for seconds. Queries now only
+// unlucky CODL query stalled for seconds. Queries now only
 // snapshot-and-serve; the owner polls RefreshDue() and calls Refresh().
 TEST(DynamicServiceTest, SyncQueriesNeverRebuildInline) {
   World w = MakeWorld(4);
@@ -108,7 +110,7 @@ TEST(DynamicServiceTest, SyncQueriesNeverRebuildInline) {
   // The crossing query serves the stale epoch: no build ran on its path
   // (epoch, pending drift, and the attempt counter are all untouched), so
   // its latency is that of a plain query, pending rebuild or not.
-  service.QueryCodU(0, 5, rng);
+  service.Query({.variant = CodVariant::kCodU, .node = 0, .k = 5}, rng);
   EXPECT_EQ(service.epoch(), 1u);
   EXPECT_EQ(service.pending_updates(), 12u);
   EXPECT_EQ(service.rebuild_stats().attempts, attempts_before);
@@ -133,7 +135,8 @@ TEST(DynamicServiceTest, AsyncThresholdCrossingQuerySchedulesRebuild) {
     service.AddEdge(v, static_cast<NodeId>(180 - v));
   }
   EXPECT_EQ(service.epoch(), 1u);
-  service.QueryCodU(0, 5, rng);  // schedules on the pool, serves epoch 1
+  // Schedules on the pool, serves epoch 1.
+  service.Query({.variant = CodVariant::kCodU, .node = 0, .k = 5}, rng);
   service.WaitForRebuild();
   EXPECT_EQ(service.epoch(), 2u);
   EXPECT_EQ(service.pending_updates(), 0u);
@@ -166,8 +169,12 @@ TEST(DynamicServiceTest, DeterministicAcrossInstances) {
   for (NodeId q = 0; q < 8; ++q) {
     const auto attrs = s1.engine().attributes().AttributesOf(q);
     if (attrs.empty()) continue;
-    const CodResult a = s1.QueryCodL(q, attrs[0], 5, rng1);
-    const CodResult b = s2.QueryCodL(q, attrs[0], 5, rng2);
+    const CodResult a = s1.Query(
+        {.variant = CodVariant::kCodL, .node = q, .k = 5, .attrs = {attrs[0]}},
+        rng1);
+    const CodResult b = s2.Query(
+        {.variant = CodVariant::kCodL, .node = q, .k = 5, .attrs = {attrs[0]}},
+        rng2);
     EXPECT_EQ(a.found, b.found);
     EXPECT_EQ(a.members, b.members);
   }
@@ -190,7 +197,8 @@ TEST(DynamicServiceTest, SnapshotSurvivesRefresh) {
   EXPECT_EQ(old_snap.core->graph().FindEdge(0, 150), kInvalidEdge);
   EXPECT_NE(service.Snapshot().core->graph().FindEdge(0, 150), kInvalidEdge);
   QueryWorkspace ws(*old_snap.core, 3);
-  EXPECT_NO_FATAL_FAILURE(old_snap.core->QueryCodU(0, 5, ws));
+  EXPECT_NO_FATAL_FAILURE(old_snap.core->Query(
+      {.variant = CodVariant::kCodU, .node = 0, .k = 5}, ws));
 }
 
 TEST(DynamicServiceTest, AsyncRefreshServesStaleThenSwaps) {
@@ -206,7 +214,7 @@ TEST(DynamicServiceTest, AsyncRefreshServesStaleThenSwaps) {
   // A query issued right away is answered from SOME published epoch without
   // blocking on the rebuild — at this point either epoch 1 (stale) or 2.
   Rng rng(4);
-  service.QueryCodU(0, 5, rng);
+  service.Query({.variant = CodVariant::kCodU, .node = 0, .k = 5}, rng);
   service.WaitForRebuild();
   EXPECT_EQ(service.epoch(), 2u);
   EXPECT_NE(service.engine().graph().FindEdge(0, 150), kInvalidEdge);
@@ -253,8 +261,12 @@ TEST(DynamicServiceTest, AsyncAndSyncRebuildsPublishIdenticalEpochs) {
   for (NodeId q = 0; q < 10; ++q) {
     const auto attrs = sync_service.engine().attributes().AttributesOf(q);
     if (attrs.empty()) continue;
-    const CodResult a = sync_service.QueryCodL(q, attrs[0], 5, rng1);
-    const CodResult b = async_service.QueryCodL(q, attrs[0], 5, rng2);
+    const CodResult a = sync_service.Query(
+        {.variant = CodVariant::kCodL, .node = q, .k = 5, .attrs = {attrs[0]}},
+        rng1);
+    const CodResult b = async_service.Query(
+        {.variant = CodVariant::kCodL, .node = q, .k = 5, .attrs = {attrs[0]}},
+        rng2);
     EXPECT_TRUE(cod::testing::SameResult(a, b)) << "q=" << q;
   }
 }
@@ -303,7 +315,8 @@ TEST(DynamicServiceTest, RebuildFailureKeepsServingOldEpoch) {
   std::vector<CodResult> before;
   Rng rng_before(5);
   for (NodeId q = 0; q < 6; ++q) {
-    before.push_back(service.QueryCodU(q, 5, rng_before));
+    before.push_back(service.Query(
+        {.variant = CodVariant::kCodU, .node = q, .k = 5}, rng_before));
   }
 
   ASSERT_TRUE(service.AddEdge(0, 150));
@@ -327,8 +340,10 @@ TEST(DynamicServiceTest, RebuildFailureKeepsServingOldEpoch) {
   // The old epoch still answers, bit-identically.
   Rng rng_after(5);
   for (NodeId q = 0; q < 6; ++q) {
-    EXPECT_TRUE(cod::testing::SameResult(service.QueryCodU(q, 5, rng_after),
-                                         before[q]))
+    EXPECT_TRUE(cod::testing::SameResult(
+        service.Query({.variant = CodVariant::kCodU, .node = q, .k = 5},
+                      rng_after),
+        before[q]))
         << "q=" << q;
   }
 
@@ -355,7 +370,8 @@ TEST(DynamicServiceTest, HimorFailureFailsRebuildWhenStrict) {
   EXPECT_FALSE(service.epoch_degraded());
   // Serving continues from the old epoch's (intact) index.
   Rng rng(3);
-  EXPECT_NO_FATAL_FAILURE(service.QueryCodU(0, 5, rng));
+  EXPECT_NO_FATAL_FAILURE(service.Query(
+      {.variant = CodVariant::kCodU, .node = 0, .k = 5}, rng));
   EXPECT_TRUE(service.Refresh().ok());
   EXPECT_EQ(service.epoch(), 2u);
 }
@@ -399,12 +415,15 @@ TEST(DynamicServiceTest, HimorFailurePublishesDegradedEpochByDefault) {
   for (NodeId q = 0; q < 8; ++q) {
     const auto attrs = service.engine().attributes().AttributesOf(q);
     if (attrs.empty()) continue;
-    const CodResult r = service.QueryCodL(q, attrs[0], 5, rng);
+    const CodResult r = service.Query(
+        {.variant = CodVariant::kCodL, .node = q, .k = 5, .attrs = {attrs[0]}},
+        rng);
     EXPECT_EQ(r.code, StatusCode::kOk);
     EXPECT_TRUE(r.degraded);
     EXPECT_EQ(r.variant_served, CodVariant::kCodLMinus);
   }
-  EXPECT_NO_FATAL_FAILURE(service.QueryCodU(0, 5, rng));
+  EXPECT_NO_FATAL_FAILURE(service.Query(
+      {.variant = CodVariant::kCodU, .node = 0, .k = 5}, rng));
 
   // The next (unimpeded) rebuild restores the index.
   EXPECT_TRUE(service.Refresh().ok());
@@ -447,7 +466,9 @@ TEST(DynamicServiceTest, PermanentIndexFailureKeepsPublishingDegradedEpochs) {
   for (NodeId q = 0; q < 10; ++q) {
     const auto attrs = service.engine().attributes().AttributesOf(q);
     if (attrs.empty()) continue;
-    found += service.QueryCodL(q, attrs[0], 5, rng).found;
+    found += service.Query(
+        {.variant = CodVariant::kCodL, .node = q, .k = 5, .attrs = {attrs[0]}},
+        rng).found;
   }
   EXPECT_GT(found, 0);
 }
@@ -482,10 +503,16 @@ TEST(DynamicServiceTest, DegradedCodlMatchesIndexlessBaseline) {
   for (NodeId q = 0; q < 16; ++q) {
     const auto attrs = baseline.engine().attributes().AttributesOf(q);
     if (attrs.empty()) continue;
-    const CodResult a = degraded_svc.QueryCodL(q, attrs[0], 5, rng_d);
+    const CodResult a = degraded_svc.Query(
+        {.variant = CodVariant::kCodL, .node = q, .k = 5, .attrs = {attrs[0]}},
+        rng_d);
     ws_b.rng() = rng_b;
-    const CodResult b =
-        baseline.Snapshot().core->QueryCodLMinus(q, attrs[0], 5, ws_b);
+    const CodResult b = baseline.Snapshot().core->Query(
+        {.variant = CodVariant::kCodLMinus,
+         .node = q,
+         .k = 5,
+         .attrs = {attrs[0]}},
+        ws_b);
     rng_b = ws_b.rng();
     EXPECT_TRUE(a.degraded);
     EXPECT_FALSE(b.degraded);

@@ -4,8 +4,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/cod_engine.h"
+#include "core/engine_core.h"
 #include "core/global_recluster.h"
+#include "core/query_workspace.h"
 #include "graph/generators.h"
 #include "tests/test_util.h"
 
@@ -121,16 +122,18 @@ TEST(EmbeddingTransformTest, EngineEndToEnd) {
   EngineOptions options;
   options.transform.transform = AttributeTransform::kEmbeddingCosine;
   options.transform.embeddings = &embeddings;
-  CodEngine engine(gen.graph, attrs, options);
+  EngineCore engine(gen.graph, attrs, options);
   Rng query_rng(4);
   engine.BuildHimor(query_rng);
-  QueryWorkspace ws = engine.MakeWorkspace(0);
+  QueryWorkspace ws(engine, 0);
   ws.rng() = query_rng;
   int found = 0;
   for (NodeId q = 0; q < 15; ++q) {
     const auto own = attrs.AttributesOf(q);
     if (own.empty()) continue;
-    const CodResult r = engine.QueryCodL(q, own[0], 5, ws);
+    const CodResult r = engine.Query(
+        {.variant = CodVariant::kCodL, .node = q, .k = 5, .attrs = {own[0]}},
+        ws);
     found += r.found;
   }
   EXPECT_GT(found, 0);

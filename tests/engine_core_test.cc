@@ -8,7 +8,6 @@
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
-#include "core/cod_engine.h"
 #include "core/query_workspace.h"
 #include "graph/generators.h"
 #include "tests/test_util.h"
@@ -54,7 +53,8 @@ TEST(EngineCoreTest, OwningConstructorKeepsInputsAlive) {
   QueryWorkspace ws(*core, 4);
   int found = 0;
   for (NodeId q = 0; q < 10; ++q) {
-    found += core->QueryCodU(q, 5, ws).found;
+    found += core->Query(
+        {.variant = CodVariant::kCodU, .node = q, .k = 5}, ws).found;
   }
   EXPECT_GT(found, 0);
 }
@@ -68,9 +68,13 @@ TEST(EngineCoreTest, WorkspaceReuseDoesNotChangeAnswers) {
     const AttributeId attr = AnyAttributeOf(w.attrs, q);
     if (attr == kInvalidAttribute) continue;
     reused.ReseedRng(100 + q);
-    const CodResult a = core.QueryCodLMinus(q, attr, 5, reused);
+    const CodResult a = core.Query(
+        {.variant = CodVariant::kCodLMinus, .node = q, .k = 5, .attrs = {attr}},
+        reused);
     QueryWorkspace fresh(core, 100 + q);
-    const CodResult b = core.QueryCodLMinus(q, attr, 5, fresh);
+    const CodResult b = core.Query(
+        {.variant = CodVariant::kCodLMinus, .node = q, .k = 5, .attrs = {attr}},
+        fresh);
     EXPECT_TRUE(SameResult(a, b)) << "q=" << q;
   }
 }
@@ -83,15 +87,18 @@ TEST(EngineCoreTest, WorkspaceRebindFollowsEpochSwap) {
 
   QueryWorkspace ws(core1, 8);
   EXPECT_EQ(ws.bound_core(), &core1);
-  const CodResult before = core1.QueryCodU(3, 5, ws);
+  const CodResult before = core1.Query(
+      {.variant = CodVariant::kCodU, .node = 3, .k = 5}, ws);
   (void)before;
 
   ws.Rebind(core2);  // epoch swap: same workspace, new immutable core
   EXPECT_EQ(ws.bound_core(), &core2);
   ws.ReseedRng(9);
-  const CodResult rebound = core2.QueryCodU(3, 5, ws);
+  const CodResult rebound = core2.Query(
+      {.variant = CodVariant::kCodU, .node = 3, .k = 5}, ws);
   QueryWorkspace fresh(core2, 9);
-  const CodResult reference = core2.QueryCodU(3, 5, fresh);
+  const CodResult reference = core2.Query(
+      {.variant = CodVariant::kCodU, .node = 3, .k = 5}, fresh);
   EXPECT_TRUE(SameResult(rebound, reference));
 }
 
@@ -118,7 +125,9 @@ TEST(EngineCoreTest, ConcurrentCodrCachingGivesIdenticalResults) {
       const AttributeId attr = AnyAttributeOf(w.attrs, q);
       if (attr == kInvalidAttribute) continue;
       ws.ReseedRng(1000 + q);
-      cases.push_back(Case{q, attr, uncached.QueryCodR(q, attr, 5, ws)});
+      cases.push_back(Case{q, attr, uncached.Query(
+          {.variant = CodVariant::kCodR, .node = q, .k = 5, .attrs = {attr}},
+          ws)});
     }
   }
   ASSERT_GE(cases.size(), 4u);
@@ -133,7 +142,10 @@ TEST(EngineCoreTest, ConcurrentCodrCachingGivesIdenticalResults) {
       for (int round = 0; round < kRounds; ++round) {
         for (const Case& c : cases) {
           ws.ReseedRng(1000 + c.q);
-          const CodResult got = cached.QueryCodR(c.q, c.attr, 5, ws);
+          const CodResult got = cached.Query(
+              {.variant = CodVariant::kCodR, .node = c.q, .k = 5,
+               .attrs = {c.attr}},
+              ws);
           if (!SameResult(got, c.want)) ++mismatches[t];
         }
       }
@@ -173,9 +185,13 @@ TEST(EngineCoreTest, CodrCacheEvictsLruPastCapacity) {
     for (AttributeId attr = 0; attr < num_attrs; ++attr) {
       const NodeId q = 3;
       ws.ReseedRng(2000 + attr);
-      const CodResult got = cached.QueryCodR(q, attr, 5, ws);
+      const CodResult got = cached.Query(
+          {.variant = CodVariant::kCodR, .node = q, .k = 5, .attrs = {attr}},
+          ws);
       ref_ws.ReseedRng(2000 + attr);
-      const CodResult want = uncached.QueryCodR(q, attr, 5, ref_ws);
+      const CodResult want = uncached.Query(
+          {.variant = CodVariant::kCodR, .node = q, .k = 5, .attrs = {attr}},
+          ref_ws);
       EXPECT_TRUE(SameResult(got, want)) << "attr=" << attr;
       EXPECT_LE(cached.CodrCacheSize(), 3u);
     }
@@ -209,7 +225,9 @@ TEST(EngineCoreTest, CodrCacheMissesAreSingleFlight) {
     threads.emplace_back([&, t] {
       QueryWorkspace ws(core, 0);
       ws.ReseedRng(3000);  // identical streams -> identical answers
-      results[t] = core.QueryCodR(5, attr, 5, ws);
+      results[t] = core.Query(
+          {.variant = CodVariant::kCodR, .node = 5, .k = 5, .attrs = {attr}},
+          ws);
     });
   }
   for (std::thread& t : threads) t.join();
@@ -243,7 +261,8 @@ TEST(EngineCoreTest, CodrCacheBuildFailureFallsBackToBaseHierarchy) {
   {
     ScopedFailpoint fp("engine_core/codr_cache", /*count=*/1);
     ws.ReseedRng(4000);
-    degraded = core.QueryCodR(q, attr, 5, ws);
+    degraded = core.Query(
+        {.variant = CodVariant::kCodR, .node = q, .k = 5, .attrs = {attr}}, ws);
   }
   EXPECT_EQ(degraded.code, StatusCode::kOk);
   EXPECT_TRUE(degraded.degraded);
@@ -251,7 +270,8 @@ TEST(EngineCoreTest, CodrCacheBuildFailureFallsBackToBaseHierarchy) {
   EXPECT_EQ(fallbacks->Value() - fallbacks_before, 1u);
 
   ws.ReseedRng(4000);
-  const CodResult codu = core.QueryCodU(q, 5, ws);
+  const CodResult codu = core.Query(
+      {.variant = CodVariant::kCodU, .node = q, .k = 5}, ws);
   EXPECT_EQ(degraded.found, codu.found);
   EXPECT_EQ(degraded.members, codu.members);
   EXPECT_EQ(degraded.rank, codu.rank);
@@ -259,11 +279,20 @@ TEST(EngineCoreTest, CodrCacheBuildFailureFallsBackToBaseHierarchy) {
   // The failed build left no cache entry; with the failpoint gone the next
   // query builds the real hierarchy and serves undegraded CODR.
   ws.ReseedRng(4001);
-  const CodResult healthy = core.QueryCodR(q, attr, 5, ws);
+  const CodResult healthy = core.Query(
+      {.variant = CodVariant::kCodR, .node = q, .k = 5, .attrs = {attr}}, ws);
   EXPECT_EQ(healthy.code, StatusCode::kOk);
   EXPECT_FALSE(healthy.degraded);
   EXPECT_EQ(healthy.variant_served, CodVariant::kCodR);
   EXPECT_EQ(fallbacks->Value() - fallbacks_before, 1u);
+}
+
+// CODU for attribute-less nodes, CODL on the node's attribute otherwise.
+QuerySpec MixedSpec(NodeId q, AttributeId attr) {
+  if (attr == kInvalidAttribute) {
+    return {.variant = CodVariant::kCodU, .node = q, .k = 5};
+  }
+  return {.variant = CodVariant::kCodL, .node = q, .k = 5, .attrs = {attr}};
 }
 
 TEST(EngineCoreTest, ConcurrentMixedQueriesMatchSequentialRerun) {
@@ -283,9 +312,7 @@ TEST(EngineCoreTest, ConcurrentMixedQueriesMatchSequentialRerun) {
       for (NodeId q = 0; q < kQueriesPerThread; ++q) {
         const AttributeId attr = AnyAttributeOf(w.attrs, q);
         ws.ReseedRng(t * 1000 + q);
-        concurrent[t].push_back(
-            attr == kInvalidAttribute ? shared.QueryCodU(q, 5, ws)
-                                      : shared.QueryCodL(q, attr, 5, ws));
+        concurrent[t].push_back(shared.Query(MixedSpec(q, attr), ws));
       }
     });
   }
@@ -297,13 +324,37 @@ TEST(EngineCoreTest, ConcurrentMixedQueriesMatchSequentialRerun) {
     for (NodeId q = 0; q < kQueriesPerThread; ++q) {
       const AttributeId attr = AnyAttributeOf(w.attrs, q);
       ws.ReseedRng(t * 1000 + q);
-      const CodResult want = attr == kInvalidAttribute
-                                 ? shared.QueryCodU(q, 5, ws)
-                                 : shared.QueryCodL(q, attr, 5, ws);
+      const CodResult want = shared.Query(MixedSpec(q, attr), ws);
       EXPECT_TRUE(SameResult(concurrent[t][q], want))
           << "thread " << t << " q " << q;
     }
   }
+}
+
+// Index-only answers take about a microsecond; the latency histogram must
+// resolve them instead of lumping every one into a 100 us floor bucket.
+TEST(EngineCoreTest, IndexedCoduLatencyLandsBelow100Microseconds) {
+  const World w = MakeWorld(21);
+  EngineCore core(w.graph, w.attrs, {});
+  Rng rng(22);
+  core.BuildHimor(rng);
+  QueryWorkspace ws(core, 0);
+  const QuerySpec spec{.variant = CodVariant::kCodUIndexed, .node = 0};
+  core.Query(spec, ws);  // registers the per-variant series
+  const Histogram* latency = MetricsRegistry::Instance().GetHistogram(
+      "cod_query_latency_seconds{variant=\"codu_indexed\"}");
+  ASSERT_LE(latency->bounds().front(), 1e-6);
+  auto below_100us = [latency] {
+    const std::vector<uint64_t> counts = latency->BucketCounts();
+    uint64_t total = 0;
+    for (size_t i = 0; i < latency->bounds().size(); ++i) {
+      if (latency->bounds()[i] < 100e-6) total += counts[i];
+    }
+    return total;
+  };
+  const uint64_t before = below_100us();
+  for (int i = 0; i < 20; ++i) core.Query(spec, ws);
+  EXPECT_GT(below_100us(), before);
 }
 
 }  // namespace

@@ -1,16 +1,19 @@
-#include "core/cod_engine.h"
+// The COD query API end to end on one EngineCore: every variant through
+// EngineCore::Query, plus ExplainCodL and FindTopPromoters.
+#include "core/engine_core.h"
 
 #include <algorithm>
 
 #include <gtest/gtest.h>
 
+#include "core/query_workspace.h"
 #include "graph/generators.h"
 #include "tests/test_util.h"
 
 namespace cod {
 namespace {
 
-// A small planted-partition world shared by the engine tests.
+// A small planted-partition world shared by the query tests.
 struct World {
   Graph graph;
   AttributeTable attrs;
@@ -37,13 +40,14 @@ AttributeId AnyAttributeOf(const AttributeTable& attrs, NodeId q) {
   return a.empty() ? kInvalidAttribute : a[0];
 }
 
-TEST(CodEngineTest, CoduFindsCommunityContainingQuery) {
+TEST(EngineQueryTest, CoduFindsCommunityContainingQuery) {
   const World w = MakeWorld(1);
-  CodEngine engine(w.graph, w.attrs, {});
-  QueryWorkspace ws = engine.MakeWorkspace(2);
+  EngineCore core(w.graph, w.attrs, {});
+  QueryWorkspace ws(core, 2);
   int found = 0;
   for (NodeId q = 0; q < 20; ++q) {
-    const CodResult r = engine.QueryCodU(q, 5, ws);
+    const CodResult r = core.Query(
+        {.variant = CodVariant::kCodU, .node = q, .k = 5}, ws);
     if (!r.found) continue;
     ++found;
     EXPECT_TRUE(std::find(r.members.begin(), r.members.end(), q) !=
@@ -54,65 +58,74 @@ TEST(CodEngineTest, CoduFindsCommunityContainingQuery) {
   EXPECT_GT(found, 0);
 }
 
-TEST(CodEngineTest, ResultSizeGrowsWithK) {
+TEST(EngineQueryTest, ResultSizeGrowsWithK) {
   const World w = MakeWorld(3);
-  CodEngine engine(w.graph, w.attrs, {});
+  EngineCore core(w.graph, w.attrs, {});
   // Average over queries: |C*| with k=5 >= |C*| with k=1 (monotonicity the
   // paper reports in Fig. 7); per-query sampling noise is averaged out by
   // using the same rng stream lengths.
   double size_k1 = 0.0;
   double size_k5 = 0.0;
-  QueryWorkspace ws = engine.MakeWorkspace(0);
+  QueryWorkspace ws(core, 0);
   for (NodeId q = 0; q < 30; ++q) {
     ws.ReseedRng(100 + q);
-    size_k1 += engine.QueryCodU(q, 1, ws).members.size();
+    size_k1 += core.Query(
+        {.variant = CodVariant::kCodU, .node = q, .k = 1}, ws).members.size();
     ws.ReseedRng(100 + q);
-    size_k5 += engine.QueryCodU(q, 5, ws).members.size();
+    size_k5 += core.Query(
+        {.variant = CodVariant::kCodU, .node = q, .k = 5}, ws).members.size();
   }
   EXPECT_GE(size_k5, size_k1);
 }
 
-TEST(CodEngineTest, CodrUsesAttributeAwareHierarchy) {
+TEST(EngineQueryTest, CodrUsesAttributeAwareHierarchy) {
   const World w = MakeWorld(4);
-  CodEngine engine(w.graph, w.attrs, {});
-  QueryWorkspace ws = engine.MakeWorkspace(5);
+  EngineCore core(w.graph, w.attrs, {});
+  QueryWorkspace ws(core, 5);
   const NodeId q = 7;
   const AttributeId attr = AnyAttributeOf(w.attrs, q);
   ASSERT_NE(attr, kInvalidAttribute);
-  const CodResult r = engine.QueryCodR(q, attr, 5, ws);
+  const CodResult r = core.Query(
+      {.variant = CodVariant::kCodR, .node = q, .k = 5, .attrs = {attr}}, ws);
   if (r.found) {
     EXPECT_TRUE(std::find(r.members.begin(), r.members.end(), q) !=
                 r.members.end());
   }
 }
 
-TEST(CodEngineTest, CodrCacheGivesSameResult) {
+TEST(EngineQueryTest, CodrCacheGivesSameResult) {
   const World w = MakeWorld(6);
   EngineOptions cached_opts;
   cached_opts.cache_codr_hierarchies = true;
-  CodEngine cached(w.graph, w.attrs, cached_opts);
-  CodEngine uncached(w.graph, w.attrs, {});
+  EngineCore cached(w.graph, w.attrs, cached_opts);
+  EngineCore uncached(w.graph, w.attrs, {});
   const NodeId q = 11;
   const AttributeId attr = AnyAttributeOf(w.attrs, q);
-  QueryWorkspace ws_cached = cached.MakeWorkspace(7);
-  QueryWorkspace ws_uncached = uncached.MakeWorkspace(7);
-  const CodResult a = cached.QueryCodR(q, attr, 5, ws_cached);
-  const CodResult b = uncached.QueryCodR(q, attr, 5, ws_uncached);
+  QueryWorkspace ws_cached(cached, 7);
+  QueryWorkspace ws_uncached(uncached, 7);
+  const CodResult a = cached.Query(
+      {.variant = CodVariant::kCodR, .node = q, .k = 5, .attrs = {attr}},
+      ws_cached);
+  const CodResult b = uncached.Query(
+      {.variant = CodVariant::kCodR, .node = q, .k = 5, .attrs = {attr}},
+      ws_uncached);
   EXPECT_EQ(a.found, b.found);
   EXPECT_EQ(a.members, b.members);
   // Second cached query hits the cache and must be identical again.
   ws_cached.ReseedRng(7);
-  const CodResult c = cached.QueryCodR(q, attr, 5, ws_cached);
+  const CodResult c = cached.Query(
+      {.variant = CodVariant::kCodR, .node = q, .k = 5, .attrs = {attr}},
+      ws_cached);
   EXPECT_TRUE(c.stats.codr_cache_hit);
   EXPECT_EQ(a.members, c.members);
 }
 
-TEST(CodEngineTest, CodlChainSplicesLocalAndGlobal) {
+TEST(EngineQueryTest, CodlChainSplicesLocalAndGlobal) {
   const World w = MakeWorld(8);
-  CodEngine engine(w.graph, w.attrs, {});
+  EngineCore core(w.graph, w.attrs, {});
   const NodeId q = 13;
   const AttributeId attr = AnyAttributeOf(w.attrs, q);
-  const LoreChain lc = engine.BuildCodlChain(q, attr);
+  const LoreChain lc = core.BuildCodlChain(q, attr);
   ASSERT_GE(lc.chain.NumLevels(), 1u);
   // The top level is the whole graph.
   EXPECT_EQ(lc.chain.community_size.back(), w.graph.NumNodes());
@@ -122,19 +135,21 @@ TEST(CodEngineTest, CodlChainSplicesLocalAndGlobal) {
   }
   // The c_ell boundary level has exactly |C_ell| members.
   EXPECT_EQ(lc.chain.community_size[lc.local_levels - 1],
-            engine.base_hierarchy().LeafCount(lc.c_ell));
+            core.base_hierarchy().LeafCount(lc.c_ell));
   // q sits at level 0.
   EXPECT_EQ(lc.chain.level[q], 0u);
 }
 
-TEST(CodEngineTest, CodlMinusRuns) {
+TEST(EngineQueryTest, CodlMinusRuns) {
   const World w = MakeWorld(9);
-  CodEngine engine(w.graph, w.attrs, {});
-  QueryWorkspace ws = engine.MakeWorkspace(10);
+  EngineCore core(w.graph, w.attrs, {});
+  QueryWorkspace ws(core, 10);
   int found = 0;
   for (NodeId q = 0; q < 15; ++q) {
     const AttributeId attr = AnyAttributeOf(w.attrs, q);
-    const CodResult r = engine.QueryCodLMinus(q, attr, 5, ws);
+    const CodResult r = core.Query(
+        {.variant = CodVariant::kCodLMinus, .node = q, .k = 5, .attrs = {attr}},
+        ws);
     if (r.found) {
       ++found;
       EXPECT_TRUE(std::find(r.members.begin(), r.members.end(), q) !=
@@ -144,19 +159,20 @@ TEST(CodEngineTest, CodlMinusRuns) {
   EXPECT_GT(found, 0);
 }
 
-TEST(CodEngineTest, CodlRequiresAndUsesHimor) {
+TEST(EngineQueryTest, CodlRequiresAndUsesHimor) {
   const World w = MakeWorld(11);
-  CodEngine engine(w.graph, w.attrs, {});
+  EngineCore core(w.graph, w.attrs, {});
   Rng rng(12);
-  engine.BuildHimor(rng);
-  ASSERT_NE(engine.himor(), nullptr);
-  QueryWorkspace ws = engine.MakeWorkspace(0);
+  core.BuildHimor(rng);
+  ASSERT_NE(core.himor(), nullptr);
+  QueryWorkspace ws(core, 0);
   ws.rng() = rng;  // continue the stream BuildHimor consumed from
   int found = 0;
   int from_index = 0;
   for (NodeId q = 0; q < 25; ++q) {
     const AttributeId attr = AnyAttributeOf(w.attrs, q);
-    const CodResult r = engine.QueryCodL(q, attr, 5, ws);
+    const CodResult r = core.Query(
+        {.variant = CodVariant::kCodL, .node = q, .k = 5, .attrs = {attr}}, ws);
     if (r.found) {
       ++found;
       from_index += r.answered_from_index;
@@ -169,19 +185,21 @@ TEST(CodEngineTest, CodlRequiresAndUsesHimor) {
   EXPECT_GT(from_index, 0);
 }
 
-TEST(CodEngineTest, LtModelEndToEnd) {
+TEST(EngineQueryTest, LtModelEndToEnd) {
   const World w = MakeWorld(13, 200);
   EngineOptions options;
   options.diffusion = DiffusionKind::kLinearThreshold;
-  CodEngine engine(w.graph, w.attrs, options);
+  EngineCore core(w.graph, w.attrs, options);
   Rng rng(14);
-  engine.BuildHimor(rng);
-  QueryWorkspace ws = engine.MakeWorkspace(0);
+  core.BuildHimor(rng);
+  QueryWorkspace ws(core, 0);
   ws.rng() = rng;
   const NodeId q = 3;
   const AttributeId attr = AnyAttributeOf(w.attrs, q);
-  const CodResult u = engine.QueryCodU(q, 5, ws);
-  const CodResult l = engine.QueryCodL(q, attr, 5, ws);
+  const CodResult u = core.Query(
+      {.variant = CodVariant::kCodU, .node = q, .k = 5}, ws);
+  const CodResult l = core.Query(
+      {.variant = CodVariant::kCodL, .node = q, .k = 5, .attrs = {attr}}, ws);
   // Smoke assertions: queries complete and communities contain q when found.
   if (u.found) {
     EXPECT_TRUE(std::find(u.members.begin(), u.members.end(), q) !=
@@ -193,12 +211,12 @@ TEST(CodEngineTest, LtModelEndToEnd) {
   }
 }
 
-TEST(CodEngineTest, TopicSetQueriesRun) {
+TEST(EngineQueryTest, TopicSetQueriesRun) {
   const World w = MakeWorld(20);
-  CodEngine engine(w.graph, w.attrs, {});
+  EngineCore core(w.graph, w.attrs, {});
   Rng rng(21);
-  engine.BuildHimor(rng);
-  QueryWorkspace ws = engine.MakeWorkspace(0);
+  core.BuildHimor(rng);
+  QueryWorkspace ws(core, 0);
   ws.rng() = rng;
   int found = 0;
   for (NodeId q = 0; q < 15; ++q) {
@@ -208,54 +226,63 @@ TEST(CodEngineTest, TopicSetQueriesRun) {
     std::vector<AttributeId> topics(own.begin(), own.end());
     topics.push_back((own[0] + 1) % static_cast<AttributeId>(
                                         w.attrs.NumAttributes()));
-    const CodResult r = engine.QueryCodL(
-        q, std::span<const AttributeId>(topics), 5, ws);
+    const CodResult r = core.Query(
+        {.variant = CodVariant::kCodL, .node = q, .k = 5, .attrs = topics}, ws);
     if (r.found) {
       ++found;
       EXPECT_TRUE(std::find(r.members.begin(), r.members.end(), q) !=
                   r.members.end());
     }
     // Variants accept topic sets too.
-    engine.QueryCodLMinus(q, std::span<const AttributeId>(topics), 5, ws);
-    engine.QueryCodR(q, std::span<const AttributeId>(topics), 5, ws);
+    core.Query(
+        {.variant = CodVariant::kCodLMinus, .node = q, .k = 5, .attrs = topics},
+        ws);
+    core.Query(
+        {.variant = CodVariant::kCodR, .node = q, .k = 5, .attrs = topics}, ws);
   }
   EXPECT_GT(found, 0);
 }
 
-TEST(CodEngineTest, SingletonTopicSetMatchesSingleAttribute) {
+TEST(EngineQueryTest, SingletonTopicSetMatchesSingleAttribute) {
   const World w = MakeWorld(22);
-  CodEngine engine(w.graph, w.attrs, {});
+  EngineCore core(w.graph, w.attrs, {});
   Rng rng(23);
-  engine.BuildHimor(rng);
-  QueryWorkspace ws = engine.MakeWorkspace(0);
+  core.BuildHimor(rng);
+  QueryWorkspace ws(core, 0);
   for (NodeId q = 0; q < 10; ++q) {
     const auto own = w.attrs.AttributesOf(q);
     if (own.empty()) continue;
     const AttributeId attr = own[0];
     ws.ReseedRng(100 + q);
-    const CodResult a = engine.QueryCodL(q, attr, 5, ws);
+    const CodResult a = core.Query(
+        {.variant = CodVariant::kCodL, .node = q, .k = 5, .attrs = {attr}}, ws);
+    // The same attribute as a one-element topic set cut from the node's own
+    // attribute span.
+    const std::vector<AttributeId> topics(own.begin(), own.begin() + 1);
     ws.ReseedRng(100 + q);
-    const CodResult b = engine.QueryCodL(
-        q, std::span<const AttributeId>(&attr, 1), 5, ws);
+    const CodResult b = core.Query(
+        {.variant = CodVariant::kCodL, .node = q, .k = 5, .attrs = topics}, ws);
     EXPECT_EQ(a.found, b.found);
     EXPECT_EQ(a.members, b.members);
   }
 }
 
-TEST(CodEngineTest, IndexedCoduIsTopKConsistentWithSampledCodu) {
+TEST(EngineQueryTest, IndexedCoduIsTopKConsistentWithSampledCodu) {
   const World w = MakeWorld(40);
   EngineOptions options;
   options.theta = 40;  // extra samples tighten agreement
-  CodEngine engine(w.graph, w.attrs, options);
+  EngineCore core(w.graph, w.attrs, options);
   Rng rng(41);
-  engine.BuildHimor(rng);
-  QueryWorkspace ws = engine.MakeWorkspace(0);
+  core.BuildHimor(rng);
+  QueryWorkspace ws(core, 0);
   size_t agree = 0;
   size_t total = 0;
   for (NodeId q = 0; q < 25; ++q) {
-    const CodResult indexed = engine.QueryCodUIndexed(q, 5);
+    const CodResult indexed = core.Query(
+        {.variant = CodVariant::kCodUIndexed, .node = q, .k = 5}, ws);
     ws.ReseedRng(300 + q);
-    const CodResult sampled = engine.QueryCodU(q, 5, ws);
+    const CodResult sampled = core.Query(
+        {.variant = CodVariant::kCodU, .node = q, .k = 5}, ws);
     ++total;
     // Different sample pools: exact equality is not guaranteed, but both
     // must agree on "found" for a clear majority and the indexed community
@@ -270,32 +297,34 @@ TEST(CodEngineTest, IndexedCoduIsTopKConsistentWithSampledCodu) {
   EXPECT_GE(agree * 3, total * 2);  // >= 2/3 agreement
 }
 
-TEST(CodEngineTest, ExplainCodLMatchesQueryAndNarrates) {
+TEST(EngineQueryTest, ExplainCodLMatchesQueryAndNarrates) {
   const World w = MakeWorld(30);
-  CodEngine engine(w.graph, w.attrs, {});
+  EngineCore core(w.graph, w.attrs, {});
   Rng rng(31);
-  engine.BuildHimor(rng);
-  QueryWorkspace ws = engine.MakeWorkspace(0);
+  core.BuildHimor(rng);
+  QueryWorkspace ws(core, 0);
   int explained = 0;
   for (NodeId q = 0; q < 12; ++q) {
     const auto own = w.attrs.AttributesOf(q);
     if (own.empty()) continue;
     ws.ReseedRng(200 + q);
-    const CodResult direct = engine.QueryCodL(q, own[0], 5, ws);
+    const CodResult direct = core.Query(
+        {.variant = CodVariant::kCodL, .node = q, .k = 5, .attrs = {own[0]}},
+        ws);
     ws.ReseedRng(200 + q);
-    const auto explanation = engine.ExplainCodL(q, own[0], 5, ws);
+    const auto explanation = core.ExplainCodL(q, own[0], 5, ws);
     EXPECT_EQ(explanation.result.found, direct.found);
     EXPECT_EQ(explanation.result.members, direct.members);
     EXPECT_EQ(explanation.c_ell_size,
-              engine.base_hierarchy().LeafCount(explanation.scores.Selected()));
+              core.base_hierarchy().LeafCount(explanation.scores.Selected()));
     if (explanation.index_hit) {
       EXPECT_TRUE(explanation.result.answered_from_index);
       EXPECT_EQ(explanation.result.members.size(),
-                engine.base_hierarchy().LeafCount(
+                core.base_hierarchy().LeafCount(
                     explanation.index_community));
     }
     const std::string text =
-        explanation.ToString(engine.base_hierarchy());
+        explanation.ToString(core.base_hierarchy());
     EXPECT_NE(text.find("LORE chain"), std::string::npos);
     EXPECT_NE(text.find("C_ell"), std::string::npos);
     EXPECT_NE(text.find("result:"), std::string::npos);
@@ -304,20 +333,20 @@ TEST(CodEngineTest, ExplainCodLMatchesQueryAndNarrates) {
   EXPECT_GT(explained, 0);
 }
 
-TEST(CodEngineTest, FindTopPromotersReturnsVerifiedHolders) {
+TEST(EngineQueryTest, FindTopPromotersReturnsVerifiedHolders) {
   const World w = MakeWorld(24);
-  CodEngine engine(w.graph, w.attrs, {});
+  EngineCore core(w.graph, w.attrs, {});
   Rng rng(25);
-  engine.BuildHimor(rng);
+  core.BuildHimor(rng);
   const AttributeId attr = 0;
-  const auto promoters = engine.FindTopPromoters(attr, 5, 5);
+  const auto promoters = core.FindTopPromoters(attr, 5, 5);
   ASSERT_FALSE(promoters.empty());
   for (size_t i = 0; i < promoters.size(); ++i) {
     EXPECT_TRUE(w.attrs.Has(promoters[i].node, attr));
     EXPECT_LT(promoters[i].rank, 5u);
     EXPECT_EQ(promoters[i].size,
-              engine.base_hierarchy().LeafCount(promoters[i].community));
-    EXPECT_TRUE(engine.base_hierarchy().Contains(promoters[i].community,
+              core.base_hierarchy().LeafCount(promoters[i].community));
+    EXPECT_TRUE(core.base_hierarchy().Contains(promoters[i].community,
                                                  promoters[i].node));
     if (i > 0) {
       EXPECT_GE(promoters[i - 1].size, promoters[i].size);
@@ -325,15 +354,17 @@ TEST(CodEngineTest, FindTopPromotersReturnsVerifiedHolders) {
   }
 }
 
-TEST(CodEngineTest, DeterministicGivenSeeds) {
+TEST(EngineQueryTest, DeterministicGivenSeeds) {
   const World w = MakeWorld(15);
-  CodEngine e1(w.graph, w.attrs, {});
-  CodEngine e2(w.graph, w.attrs, {});
-  QueryWorkspace ws1 = e1.MakeWorkspace(16);
-  QueryWorkspace ws2 = e2.MakeWorkspace(16);
+  EngineCore e1(w.graph, w.attrs, {});
+  EngineCore e2(w.graph, w.attrs, {});
+  QueryWorkspace ws1(e1, 16);
+  QueryWorkspace ws2(e2, 16);
   const NodeId q = 5;
-  const CodResult a = e1.QueryCodU(q, 5, ws1);
-  const CodResult b = e2.QueryCodU(q, 5, ws2);
+  const CodResult a = e1.Query(
+      {.variant = CodVariant::kCodU, .node = q, .k = 5}, ws1);
+  const CodResult b = e2.Query(
+      {.variant = CodVariant::kCodU, .node = q, .k = 5}, ws2);
   EXPECT_EQ(a.found, b.found);
   EXPECT_EQ(a.members, b.members);
   EXPECT_EQ(a.rank, b.rank);

@@ -5,7 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "core/cod_engine.h"
+#include "core/engine_core.h"
+#include "core/query_workspace.h"
 #include "influence/cascade_model.h"
 
 namespace cod {
@@ -214,16 +215,18 @@ TEST(HinIntegrationTest, ProjectionFeedsWeightedCodPipeline) {
     }
   }
 
-  CodEngine engine(projection->graph, attrs, {});
+  EngineCore engine(projection->graph, attrs, {});
   Rng query_rng(2);
   engine.BuildHimor(query_rng);
-  QueryWorkspace ws = engine.MakeWorkspace(0);
+  QueryWorkspace ws(engine, 0);
   ws.rng() = query_rng;
   int found = 0;
   for (NodeId q = 0; q < 20; ++q) {
     const auto own = attrs.AttributesOf(q);
     if (own.empty()) continue;
-    found += engine.QueryCodL(q, own[0], 5, ws).found;
+    found += engine.Query(
+        {.variant = CodVariant::kCodL, .node = q, .k = 5, .attrs = {own[0]}},
+        ws).found;
   }
   EXPECT_GT(found, 0);
 }

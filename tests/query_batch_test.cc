@@ -8,7 +8,7 @@
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/task_scheduler.h"
-#include "core/cod_engine.h"
+#include "core/engine_core.h"
 #include "core/query_workspace.h"
 #include "graph/generators.h"
 #include "tests/test_util.h"
@@ -75,31 +75,29 @@ std::vector<QuerySpec> MakeSpecs(const AttributeTable& attrs, size_t count) {
 
 class QueryBatchTest : public ::testing::Test {
  protected:
-  QueryBatchTest() : world_(MakeWorld(1)) {
-    engine_ = std::make_unique<CodEngine>(world_.graph, world_.attrs,
-                                          EngineOptions{});
+  QueryBatchTest()
+      : world_(MakeWorld(1)), core_(world_.graph, world_.attrs, {}) {
     Rng rng(2);
-    engine_->BuildHimor(rng);
+    core_.BuildHimor(rng);
     specs_ = MakeSpecs(world_.attrs, 20);
   }
 
   World world_;
-  std::unique_ptr<CodEngine> engine_;
+  EngineCore core_;
   std::vector<QuerySpec> specs_;
 };
 
 TEST_F(QueryBatchTest, MatchesSequentialRerunPerQuery) {
   TaskScheduler pool(3);
   const std::vector<CodResult> batch =
-      engine_->QueryBatch(specs_, pool, /*batch_seed=*/77);
+      RunQueryBatch(core_, specs_, pool, /*batch_seed=*/77);
   ASSERT_EQ(batch.size(), specs_.size());
 
   // Every batch answer is reproducible in isolation from its derived seed.
-  const std::shared_ptr<const EngineCore> core = engine_->core();
-  QueryWorkspace ws(*core, 0);
+  QueryWorkspace ws(core_, 0);
   for (size_t i = 0; i < specs_.size(); ++i) {
     ws.ReseedRng(BatchQuerySeed(77, i));
-    const CodResult want = RunQuerySpec(*core, specs_[i], ws);
+    const CodResult want = core_.Query(specs_[i], ws);
     EXPECT_TRUE(SameResult(batch[i], want)) << "spec " << i;
   }
 }
@@ -108,7 +106,7 @@ TEST_F(QueryBatchTest, BitIdenticalAcrossThreadCounts) {
   std::vector<std::vector<CodResult>> runs;
   for (const size_t threads : {1u, 2u, 4u, 8u}) {
     TaskScheduler pool(threads);
-    runs.push_back(engine_->QueryBatch(specs_, pool, /*batch_seed=*/5));
+    runs.push_back(RunQueryBatch(core_, specs_, pool, /*batch_seed=*/5));
   }
   for (size_t r = 1; r < runs.size(); ++r) {
     ASSERT_EQ(runs[r].size(), runs[0].size());
@@ -121,8 +119,8 @@ TEST_F(QueryBatchTest, BitIdenticalAcrossThreadCounts) {
 
 TEST_F(QueryBatchTest, DifferentBatchSeedsChangeSampling) {
   TaskScheduler pool(2);
-  const auto a = engine_->QueryBatch(specs_, pool, 1);
-  const auto b = engine_->QueryBatch(specs_, pool, 2);
+  const auto a = RunQueryBatch(core_, specs_, pool, 1);
+  const auto b = RunQueryBatch(core_, specs_, pool, 2);
   // Sampled variants may legitimately flip some answers between seeds; the
   // index-only ones must not.
   ASSERT_EQ(a.size(), b.size());
@@ -137,22 +135,22 @@ TEST_F(QueryBatchTest, DefaultKUsesEngineOptions) {
   TaskScheduler pool(2);
   std::vector<QuerySpec> defaulted{{CodVariant::kCodU, 3, 0, {}}};
   std::vector<QuerySpec> explicit_k{
-      {CodVariant::kCodU, 3, engine_->options().k, {}}};
-  const auto a = engine_->QueryBatch(defaulted, pool, 9);
-  const auto b = engine_->QueryBatch(explicit_k, pool, 9);
+      {CodVariant::kCodU, 3, core_.options().k, {}}};
+  const auto a = RunQueryBatch(core_, defaulted, pool, 9);
+  const auto b = RunQueryBatch(core_, explicit_k, pool, 9);
   EXPECT_TRUE(SameResult(a[0], b[0]));
 }
 
 TEST_F(QueryBatchTest, EmptyBatchReturnsEmpty) {
   TaskScheduler pool(2);
-  EXPECT_TRUE(engine_->QueryBatch({}, pool, 1).empty());
+  EXPECT_TRUE(RunQueryBatch(core_, {}, pool, 1).empty());
 }
 
 TEST_F(QueryBatchTest, DefaultOptionsMatchOptionFreeOverload) {
   TaskScheduler pool(3);
-  const auto plain = engine_->QueryBatch(specs_, pool, 42);
-  const auto with_options = engine_->QueryBatch(specs_, pool, 42,
-                                                BatchOptions{});
+  const auto plain = RunQueryBatch(core_, specs_, pool, 42);
+  const auto with_options =
+      RunQueryBatch(core_, specs_, pool, 42, BatchOptions{});
   ASSERT_EQ(plain.size(), with_options.size());
   for (size_t i = 0; i < plain.size(); ++i) {
     EXPECT_TRUE(SameResult(plain[i], with_options[i])) << "spec " << i;
@@ -170,8 +168,8 @@ TEST_F(QueryBatchTest, AggressiveBudgetMixesFullAndDegradedDeterministically) {
   std::vector<std::vector<CodResult>> runs;
   for (const size_t threads : {1u, 2u, 4u}) {
     TaskScheduler pool(threads);
-    runs.push_back(engine_->QueryBatch(specs_, pool, /*batch_seed=*/7,
-                                       options));
+    runs.push_back(
+        RunQueryBatch(core_, specs_, pool, /*batch_seed=*/7, options));
   }
   for (size_t r = 1; r < runs.size(); ++r) {
     ASSERT_EQ(runs[r].size(), runs[0].size());
@@ -215,14 +213,17 @@ TEST_F(QueryBatchTest, DegradedAnswerMatchesDirectIndexedQuery) {
   BatchOptions options;
   options.default_budget_seconds = 1e-12;
   TaskScheduler pool(2);
-  const auto results = engine_->QueryBatch(specs_, pool, 13, options);
+  const auto results = RunQueryBatch(core_, specs_, pool, 13, options);
   const CodResult& got = results[codl];
   ASSERT_EQ(got.code, StatusCode::kOk);
   ASSERT_TRUE(got.degraded);
   ASSERT_EQ(got.variant_served, CodVariant::kCodUIndexed);
   const uint32_t k =
-      specs_[codl].k == 0 ? engine_->options().k : specs_[codl].k;
-  const CodResult want = engine_->QueryCodUIndexed(specs_[codl].node, k);
+      specs_[codl].k == 0 ? core_.options().k : specs_[codl].k;
+  QueryWorkspace ws(core_, 0);
+  const CodResult want = core_.Query(
+      {.variant = CodVariant::kCodUIndexed, .node = specs_[codl].node, .k = k},
+      ws);
   EXPECT_EQ(got.found, want.found);
   EXPECT_EQ(got.members, want.members);
   EXPECT_EQ(got.rank, want.rank);
@@ -233,7 +234,7 @@ TEST_F(QueryBatchTest, NoDegradationReturnsTimeout) {
   options.default_budget_seconds = 1e-12;
   options.allow_degradation = false;
   TaskScheduler pool(2);
-  const auto results = engine_->QueryBatch(specs_, pool, 21, options);
+  const auto results = RunQueryBatch(core_, specs_, pool, 21, options);
   for (size_t i = 0; i < results.size(); ++i) {
     if (specs_[i].variant == CodVariant::kCodUIndexed) {
       EXPECT_EQ(results[i].code, StatusCode::kOk) << "spec " << i;
@@ -261,7 +262,7 @@ TEST_F(QueryBatchTest, PerSpecBudgetOverridesDefault) {
   specs[victim].budget_seconds = 1e-12;
   TaskScheduler pool(2);
   const auto results =
-      engine_->QueryBatch(specs, pool, 31, BatchOptions{});
+      RunQueryBatch(core_, specs, pool, 31, BatchOptions{});
   for (size_t i = 0; i < results.size(); ++i) {
     if (i == victim) {
       EXPECT_TRUE(results[i].degraded) << "victim spec";
@@ -278,7 +279,7 @@ TEST_F(QueryBatchTest, BatchDeadlineCapsEveryQuery) {
   BatchOptions options;
   options.batch_deadline = Deadline::After(0.0);
   TaskScheduler pool(3);
-  const auto results = engine_->QueryBatch(specs_, pool, 17, options);
+  const auto results = RunQueryBatch(core_, specs_, pool, 17, options);
   for (size_t i = 0; i < results.size(); ++i) {
     if (specs_[i].variant == CodVariant::kCodUIndexed) {
       EXPECT_FALSE(results[i].degraded) << "spec " << i;
@@ -294,7 +295,7 @@ TEST_F(QueryBatchTest, WorkerFailpointMarksSlotsCancelled) {
   // hanging the batch. One worker thread makes the hit order deterministic.
   ScopedFailpoint fp("query_batch/worker", /*count=*/2);
   TaskScheduler pool(1);
-  const auto results = engine_->QueryBatch(specs_, pool, 19);
+  const auto results = RunQueryBatch(core_, specs_, pool, 19);
   ASSERT_EQ(results.size(), specs_.size());
   for (size_t i = 0; i < results.size(); ++i) {
     if (i < 2) {
@@ -316,7 +317,7 @@ TEST_F(QueryBatchTest, BatchStatsMatchPerResultTallies) {
   TaskScheduler pool(3);
   BatchStats stats;
   const std::vector<CodResult> results = RunQueryBatch(
-      *engine_->core(), specs_, pool, /*batch_seed=*/7, options, &stats);
+      core_, specs_, pool, /*batch_seed=*/7, options, &stats);
   ASSERT_EQ(results.size(), specs_.size());
 
   BatchStats want;
@@ -361,8 +362,7 @@ TEST_F(QueryBatchTest, BatchStatsMatchPerResultTallies) {
           .GetCounter("cod_batch_queries_total{outcome=\"degraded\"}")
           ->Value();
   BatchStats again;
-  RunQueryBatch(*engine_->core(), specs_, pool, /*batch_seed=*/7, options,
-                &again);
+  RunQueryBatch(core_, specs_, pool, /*batch_seed=*/7, options, &again);
   EXPECT_EQ(MetricsRegistry::Instance()
                 .GetCounter("cod_batch_queries_total{outcome=\"ok\"}")
                 ->Value(),
@@ -377,8 +377,7 @@ TEST_F(QueryBatchTest, UnconstrainedBatchStatsAreAllServedOk) {
   TaskScheduler pool(2);
   BatchStats stats;
   const std::vector<CodResult> results = RunQueryBatch(
-      *engine_->core(), specs_, pool, /*batch_seed=*/3, BatchOptions{},
-      &stats);
+      core_, specs_, pool, /*batch_seed=*/3, BatchOptions{}, &stats);
   EXPECT_EQ(stats.served_ok, results.size());
   EXPECT_EQ(stats.degraded, 0u);
   EXPECT_EQ(stats.timeout, 0u);
@@ -395,11 +394,11 @@ TEST_F(QueryBatchTest, BatchFromWorkerThreadMatchesSolo) {
   // hardest case: the waiting task and all its chunks share a single thread.
   for (const size_t workers : {1u, 3u}) {
     TaskScheduler pool(workers);
-    const auto solo = engine_->QueryBatch(specs_, pool, 33);
+    const auto solo = RunQueryBatch(core_, specs_, pool, 33);
     std::vector<CodResult> nested;
     TaskGroup group(pool);
     pool.Submit(TaskPriority::kRebuild, group,
-                [&] { nested = engine_->QueryBatch(specs_, pool, 33); });
+                [&] { nested = RunQueryBatch(core_, specs_, pool, 33); });
     group.Wait();
     ASSERT_EQ(nested.size(), solo.size()) << "workers=" << workers;
     for (size_t i = 0; i < solo.size(); ++i) {
@@ -419,17 +418,16 @@ TEST_F(QueryBatchTest, AdmissionShedViaFailpointIsDeterministic) {
   BatchOptions start_degraded;
   start_degraded.shed_rungs = 1;
   const auto expected =
-      engine_->QueryBatch(specs_, pool, /*batch_seed=*/55, start_degraded);
+      RunQueryBatch(core_, specs_, pool, /*batch_seed=*/55, start_degraded);
 
   ScopedFailpoint fp("scheduler/admission", /*count=*/1);
   BatchStats stats;
-  const auto shed = RunQueryBatch(*engine_->core(), specs_, pool,
+  const auto shed = RunQueryBatch(core_, specs_, pool,
                                   /*batch_seed=*/55, BatchOptions{}, &stats);
   EXPECT_TRUE(stats.shed);
   ASSERT_EQ(shed.size(), expected.size());
 
-  const std::shared_ptr<const EngineCore> core = engine_->core();
-  QueryWorkspace ws(*core, 0);
+  QueryWorkspace ws(core_, 0);
   for (size_t i = 0; i < shed.size(); ++i) {
     EXPECT_TRUE(SameResult(shed[i], expected[i])) << "spec " << i;
     EXPECT_EQ(shed[i].code, StatusCode::kOk) << "spec " << i;
@@ -443,13 +441,13 @@ TEST_F(QueryBatchTest, AdmissionShedViaFailpointIsDeterministic) {
     BatchOptions effective;
     effective.shed_rungs = 1;
     const CodResult want = RunQuerySpecWithBudget(
-        *core, specs_[i], ws, effective, BatchQuerySeed(55, i));
+        core_, specs_[i], ws, effective, BatchQuerySeed(55, i));
     EXPECT_TRUE(SameResult(shed[i], want)) << "spec " << i;
   }
 
   // The failpoint was consumed: the next batch is served at full fidelity.
   BatchStats clean;
-  const auto after = RunQueryBatch(*engine_->core(), specs_, pool,
+  const auto after = RunQueryBatch(core_, specs_, pool,
                                    /*batch_seed=*/55, BatchOptions{}, &clean);
   EXPECT_FALSE(clean.shed);
   for (size_t i = 0; i < after.size(); ++i) {
@@ -459,17 +457,17 @@ TEST_F(QueryBatchTest, AdmissionShedViaFailpointIsDeterministic) {
 
 TEST_F(QueryBatchTest, ConcurrentBatchesShareOnePool) {
   TaskScheduler pool(4);
-  const auto solo_a = engine_->QueryBatch(specs_, pool, 11);
-  const auto solo_b = engine_->QueryBatch(specs_, pool, 22);
+  const auto solo_a = RunQueryBatch(core_, specs_, pool, 11);
+  const auto solo_b = RunQueryBatch(core_, specs_, pool, 22);
 
   std::vector<CodResult> concurrent_a;
   std::vector<CodResult> concurrent_b;
   // Two caller threads block on their own TaskGroups against the same
   // scheduler.
   std::thread ta(
-      [&] { concurrent_a = engine_->QueryBatch(specs_, pool, 11); });
+      [&] { concurrent_a = RunQueryBatch(core_, specs_, pool, 11); });
   std::thread tb(
-      [&] { concurrent_b = engine_->QueryBatch(specs_, pool, 22); });
+      [&] { concurrent_b = RunQueryBatch(core_, specs_, pool, 22); });
   ta.join();
   tb.join();
 

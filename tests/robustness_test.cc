@@ -18,7 +18,7 @@
 #include "common/metrics.h"
 #include "common/random.h"
 #include "common/task_scheduler.h"
-#include "core/cod_engine.h"
+#include "core/engine_core.h"
 #include "core/himor.h"
 #include "core/independent_eval.h"
 #include "core/lore.h"
@@ -189,7 +189,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeedTest,
 struct BudgetWorld {
   Graph graph;
   AttributeTable attrs;
-  std::unique_ptr<CodEngine> engine;
+  std::unique_ptr<EngineCore> engine;
 };
 
 BudgetWorld MakeBudgetWorld(uint64_t seed) {
@@ -203,8 +203,7 @@ BudgetWorld MakeBudgetWorld(uint64_t seed) {
   BudgetWorld w;
   w.attrs = AssignCorrelatedAttributes(gen.block, 4, 0.8, 0.1, rng);
   w.graph = std::move(gen.graph);
-  w.engine =
-      std::make_unique<CodEngine>(w.graph, w.attrs, EngineOptions{});
+  w.engine = std::make_unique<EngineCore>(w.graph, w.attrs, EngineOptions{});
   Rng himor_rng(seed + 1);
   w.engine->BuildHimor(himor_rng);
   return w;
@@ -251,7 +250,7 @@ TEST_P(BudgetFuzzTest, HostileBudgetsNeverCrashOrCorrupt) {
         budgets[rng.UniformInt(std::size(budgets))];
     options.allow_degradation = rng.Bernoulli(0.5);
     const std::vector<CodResult> results =
-        w.engine->QueryBatch(specs, pool, /*batch_seed=*/round, options);
+        RunQueryBatch(*w.engine, specs, pool, /*batch_seed=*/round, options);
     ASSERT_EQ(results.size(), specs.size());
     for (size_t i = 0; i < results.size(); ++i) {
       const CodResult& r = results[i];
@@ -307,7 +306,7 @@ TEST_P(RandomFailpointFuzzTest, QueriesRespectTaxonomyUnderRandomFaults) {
       options.allow_degradation = rng.Bernoulli(0.5);
       options.sampling_pool = &sampling_pool;
       const std::vector<CodResult> results =
-          w.engine->QueryBatch(specs, pool, /*batch_seed=*/round, options);
+          RunQueryBatch(*w.engine, specs, pool, /*batch_seed=*/round, options);
       ASSERT_EQ(results.size(), specs.size());
       for (size_t i = 0; i < results.size(); ++i) {
         const CodResult& r = results[i];
@@ -343,7 +342,7 @@ TEST_P(RandomFailpointFuzzTest, QueriesRespectTaxonomyUnderRandomFaults) {
   // Recovery: the same workload with clean sites and no budgets answers
   // every query completely.
   const std::vector<CodResult> clean =
-      w.engine->QueryBatch(base, pool, /*batch_seed=*/77);
+      RunQueryBatch(*w.engine, base, pool, /*batch_seed=*/77);
   for (size_t i = 0; i < clean.size(); ++i) {
     EXPECT_EQ(clean[i].code, StatusCode::kOk) << "spec " << i;
     EXPECT_FALSE(clean[i].degraded) << "spec " << i;
@@ -358,7 +357,7 @@ TEST(CancellationTest, MidPoolFailpointCancelsAndLeavesWorkspaceReusable) {
   // with kCancelled, and the workspace (slab pool included) stays reusable.
   BudgetWorld w = MakeBudgetWorld(52);
   TaskScheduler sampling_pool(2);
-  QueryWorkspace ws = w.engine->MakeWorkspace(/*seed=*/0);
+  QueryWorkspace ws(*w.engine, /*seed=*/0);
   ws.SetSamplingPool(&sampling_pool);
 
   QuerySpec spec;
@@ -378,7 +377,7 @@ TEST(CancellationTest, MidPoolFailpointCancelsAndLeavesWorkspaceReusable) {
   // Disarmed: the same workspace answers exactly like a fresh one.
   ws.ReseedRng(6);
   const CodResult reused = w.engine->Query(spec, ws);
-  QueryWorkspace fresh = w.engine->MakeWorkspace(/*seed=*/0);
+  QueryWorkspace fresh(*w.engine, /*seed=*/0);
   fresh.SetSamplingPool(&sampling_pool);
   fresh.ReseedRng(6);
   const CodResult expected = w.engine->Query(spec, fresh);
@@ -397,7 +396,7 @@ TEST(CancellationTest, PreCancelledBatchSkipsAllSampledWork) {
   BatchOptions options;
   options.cancel = &token;
   const std::vector<CodResult> results =
-      w.engine->QueryBatch(specs, pool, /*batch_seed=*/1, options);
+      RunQueryBatch(*w.engine, specs, pool, /*batch_seed=*/1, options);
   ASSERT_EQ(results.size(), specs.size());
   for (size_t i = 0; i < results.size(); ++i) {
     if (specs[i].variant == CodVariant::kCodUIndexed) {
@@ -427,7 +426,7 @@ TEST(CancellationTest, MidBatchCancelReturnsPromptly) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     token.Cancel();
   });
-  results = w.engine->QueryBatch(specs, pool, /*batch_seed=*/3, options);
+  results = RunQueryBatch(*w.engine, specs, pool, /*batch_seed=*/3, options);
   canceller.join();
   ASSERT_EQ(results.size(), specs.size());
   for (size_t i = 0; i < results.size(); ++i) {

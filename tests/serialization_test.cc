@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/cod_engine.h"
+#include "core/engine_core.h"
 #include "core/himor.h"
+#include "core/query_workspace.h"
 #include "graph/generators.h"
 #include "hierarchy/agglomerative.h"
 #include "hierarchy/dendrogram_io.h"
@@ -123,23 +124,29 @@ TEST(EngineHimorIoTest, SaveLoadServesQueries) {
   const AttributeTable attrs =
       AssignCorrelatedAttributes(gen.block, 5, 0.8, 0.1, gen_rng);
 
-  CodEngine writer_engine(gen.graph, attrs, {});
+  EngineCore writer_engine(gen.graph, attrs, {});
   Rng rng(5);
   writer_engine.BuildHimor(rng);
   const std::string path = TempPath("engine_himor.bin");
   ASSERT_TRUE(writer_engine.SaveHimor(path).ok());
 
-  CodEngine reader_engine(gen.graph, attrs, {});
+  EngineCore reader_engine(gen.graph, attrs, {});
   ASSERT_TRUE(reader_engine.LoadHimor(path).ok());
   // Same graph + same seed: the loaded-index engine must answer exactly as
   // the builder engine.
-  QueryWorkspace ws_a = writer_engine.MakeWorkspace(6);
-  QueryWorkspace ws_b = reader_engine.MakeWorkspace(6);
+  QueryWorkspace ws_a(writer_engine, 6);
+  QueryWorkspace ws_b(reader_engine, 6);
   for (NodeId q = 0; q < 20; ++q) {
     const auto node_attrs = attrs.AttributesOf(q);
     if (node_attrs.empty()) continue;
-    const CodResult a = writer_engine.QueryCodL(q, node_attrs[0], 5, ws_a);
-    const CodResult b = reader_engine.QueryCodL(q, node_attrs[0], 5, ws_b);
+    const CodResult a = writer_engine.Query(
+        {.variant = CodVariant::kCodL, .node = q, .k = 5,
+         .attrs = {node_attrs[0]}},
+        ws_a);
+    const CodResult b = reader_engine.Query(
+        {.variant = CodVariant::kCodL, .node = q, .k = 5,
+         .attrs = {node_attrs[0]}},
+        ws_b);
     EXPECT_EQ(a.found, b.found);
     EXPECT_EQ(a.members, b.members);
   }
@@ -150,7 +157,7 @@ TEST(EngineHimorIoTest, SaveWithoutBuildFails) {
   AttributeTableBuilder ab;
   ab.Add(0, "X");
   const AttributeTable attrs = std::move(ab).Build(10);
-  CodEngine engine(ex.graph, attrs, {});
+  EngineCore engine(ex.graph, attrs, {});
   EXPECT_EQ(engine.SaveHimor(TempPath("never.bin")).code(),
             StatusCode::kFailedPrecondition);
 }
@@ -165,8 +172,8 @@ TEST(EngineHimorIoTest, LoadRejectsWrongGraph) {
   AttributeTableBuilder a2;
   a2.Add(0, "X");
   const AttributeTable attrs2 = std::move(a2).Build(60);
-  CodEngine e1(g1, attrs1, {});
-  CodEngine e2(g2, attrs2, {});
+  EngineCore e1(g1, attrs1, {});
+  EngineCore e2(g2, attrs2, {});
   Rng build_rng(8);
   e1.BuildHimor(build_rng);
   const std::string path = TempPath("mismatch.bin");

@@ -143,7 +143,7 @@ TEST(ServingStressTest, BatchQueriesRaceBackgroundRebuilds) {
         QueryWorkspace ws(*snap.core, 0);
         for (size_t i = 0; i < specs.size(); ++i) {
           ws.ReseedRng(BatchQuerySeed(batch_seed, i));
-          if (!SameResult(batch[i], RunQuerySpec(*snap.core, specs[i], ws))) {
+          if (!SameResult(batch[i], snap.core->Query(specs[i], ws))) {
             ++failures;
           }
         }

@@ -206,7 +206,9 @@ TEST(PartitionTest, SingleComponentLeavesExtraShardsEmpty) {
   ShardedCodService service(std::move(g), std::move(attrs), BaseOptions(4));
   EXPECT_EQ(service.num_shards(), 4u);
   Rng rng(3);
-  EXPECT_TRUE(service.QueryCodL(0, 0, 3, rng).found);
+  EXPECT_TRUE(service.Query(
+      {.variant = CodVariant::kCodL, .node = 0, .k = 3, .attrs = {0}},
+      rng).found);
 }
 
 // ---------------------------------------------------------------------------
@@ -528,6 +530,116 @@ TEST_P(UpdateBoundaryTest, AddEdgeRefusesNegativeWeight) {
   // A valid weight on the same pair is still admitted.
   EXPECT_TRUE(service_->AddEdge(0, 1, 0.5));
   EXPECT_EQ(service_->pending_updates(), 1u);
+}
+
+// Query boundary: bad specs come back kInvalidArgument (no crash, no RNG
+// draw) through both the single-query and the batch entry points.
+constexpr CodVariant kAllExactVariants[] = {
+    CodVariant::kCodU, CodVariant::kCodR, CodVariant::kCodLMinus,
+    CodVariant::kCodL, CodVariant::kCodUIndexed};
+
+void ExpectRefused(const CodResult& r, CodVariant variant) {
+  EXPECT_EQ(r.code, StatusCode::kInvalidArgument)
+      << "variant " << CodVariantName(variant);
+  EXPECT_FALSE(r.found);
+  EXPECT_TRUE(r.members.empty());
+  EXPECT_EQ(r.ladder_rung, 0);
+}
+
+TEST_P(UpdateBoundaryTest, QueryRefusesOutOfRangeNode) {
+  for (const NodeId node : {static_cast<NodeId>(num_nodes_), kInvalidNode}) {
+    for (const CodVariant variant : kAllExactVariants) {
+      Rng rng(5);
+      ExpectRefused(
+          service_->Query({.variant = variant, .node = node, .attrs = {0}},
+                          rng),
+          variant);
+      EXPECT_EQ(rng.Next(), Rng(5).Next()) << "a refused query drew randomness";
+    }
+  }
+}
+
+TEST_P(UpdateBoundaryTest, QueryRefusesKAboveIndexRank) {
+  const uint32_t max_rank = BaseOptions(1).engine.himor_max_rank;
+  for (const CodVariant variant :
+       {CodVariant::kCodL, CodVariant::kCodUIndexed}) {
+    Rng rng(6);
+    ExpectRefused(service_->Query({.variant = variant,
+                                   .node = 0,
+                                   .k = max_rank + 1,
+                                   .attrs = {0}},
+                                  rng),
+                  variant);
+    EXPECT_EQ(
+        service_
+            ->Query({.variant = variant, .node = 0, .k = max_rank,
+                     .attrs = {0}},
+                    rng)
+            .code,
+        StatusCode::kOk);
+  }
+  // Sampled variants have no rank cap; k == 0 is the engine default, and
+  // an attribute id nobody holds is a valid (attribute-blind) query.
+  Rng rng(7);
+  EXPECT_EQ(service_->Query({.variant = CodVariant::kCodU, .node = 0,
+                             .k = max_rank + 1},
+                            rng)
+                .code,
+            StatusCode::kOk);
+  EXPECT_EQ(service_->Query({.variant = CodVariant::kCodL, .node = 0,
+                             .k = 0, .attrs = {0}},
+                            rng)
+                .code,
+            StatusCode::kOk);
+  for (const CodVariant variant : {CodVariant::kCodR, CodVariant::kCodLMinus,
+                                   CodVariant::kCodL}) {
+    EXPECT_EQ(
+        service_->Query({.variant = variant, .node = 0, .attrs = {1u << 30}},
+                        rng)
+            .code,
+        StatusCode::kOk)
+        << "variant " << CodVariantName(variant);
+  }
+}
+
+TEST_P(UpdateBoundaryTest, QueryBatchRefusesBadSpecsAndServesTheRest) {
+  const uint32_t max_rank = BaseOptions(1).engine.himor_max_rank;
+  const NodeId n = static_cast<NodeId>(num_nodes_);
+  const std::vector<QuerySpec> good = {
+      {.variant = CodVariant::kCodL, .node = 0, .attrs = {0}},
+      {.variant = CodVariant::kCodU, .node = 1},
+      {.variant = CodVariant::kCodUIndexed, .node = 2},
+      {.variant = CodVariant::kCodLMinus, .node = 3, .attrs = {1}},
+      {.variant = CodVariant::kCodL, .node = 4, .attrs = {1}}};
+  std::vector<QuerySpec> mixed = good;
+  mixed[1].node = n;             // out-of-range node
+  mixed[2].k = max_rank + 1;     // indexed CODU past the index
+  mixed[4].k = max_rank + 1;     // CODL past the index
+  TaskScheduler scheduler(2);
+  // A budget no rung can meet: valid specs walk the ladder, refused ones
+  // must not.
+  BatchOptions hopeless;
+  hopeless.default_budget_seconds = 1e-12;
+  for (const BatchOptions& options : {BatchOptions{}, hopeless}) {
+    BatchStats stats;
+    const std::vector<CodResult> got = service_->QueryBatch(
+        mixed, scheduler, /*batch_seed=*/9, options, &stats);
+    const std::vector<CodResult> want = service_->QueryBatch(
+        good, scheduler, /*batch_seed=*/9, options, nullptr);
+    ASSERT_EQ(got.size(), mixed.size());
+    for (const size_t i : {size_t{1}, size_t{2}, size_t{4}}) {
+      ExpectRefused(got[i], mixed[i].variant);
+    }
+    // Refused specs do not disturb the rest of the batch.
+    for (const size_t i : {size_t{0}, size_t{3}}) {
+      EXPECT_TRUE(testing::SameResult(got[i], want[i])) << "spec " << i;
+    }
+    EXPECT_EQ(stats.invalid_argument, 3u);
+    EXPECT_EQ(stats.served_ok + stats.degraded + stats.timeout +
+                  stats.cancelled + stats.invalid_argument +
+                  stats.shard_missed,
+              mixed.size());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(MonoAndSharded, UpdateBoundaryTest,

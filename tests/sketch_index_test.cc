@@ -350,7 +350,9 @@ TEST(SketchBuildTest, SketchBuildFailpointDropsSketchKeepsIndex) {
   EXPECT_EQ(core.sketch(), nullptr);
   // Sketch loss degrades latency only: exact queries still serve.
   QueryWorkspace ws(core, 1);
-  EXPECT_EQ(core.QueryCodU(0, 3, ws).code, StatusCode::kOk);
+  EXPECT_EQ(
+      core.Query({.variant = CodVariant::kCodU, .node = 0, .k = 3}, ws).code,
+      StatusCode::kOk);
   // Rebuilding without the failpoint restores the sketch.
   Rng rng2(6);
   core.BuildHimor(rng2);
@@ -382,8 +384,10 @@ TEST_P(SketchPruneTest, PruningNeverChangesExactAnswers) {
     for (uint32_t k : {1u, 2u, 5u}) {
       ws_a.ReseedRng(900 + q);
       ws_b.ReseedRng(900 + q);
-      const CodResult a = pruned.QueryCodU(q, k, ws_a);
-      const CodResult b = plain.QueryCodU(q, k, ws_b);
+      const CodResult a = pruned.Query(
+          {.variant = CodVariant::kCodU, .node = q, .k = k}, ws_a);
+      const CodResult b = plain.Query(
+          {.variant = CodVariant::kCodU, .node = q, .k = k}, ws_b);
       EXPECT_TRUE(testing::SameResult(a, b)) << "CODU q=" << q << " k=" << k;
       levels_pruned += a.stats.sketch_levels_pruned;
     }
@@ -391,14 +395,24 @@ TEST_P(SketchPruneTest, PruningNeverChangesExactAnswers) {
     if (attrs.empty()) continue;
     ws_a.ReseedRng(7000 + q);
     ws_b.ReseedRng(7000 + q);
-    const CodResult a = pruned.QueryCodLMinus(q, attrs[0], 4, ws_a);
-    const CodResult b = plain.QueryCodLMinus(q, attrs[0], 4, ws_b);
+    const CodResult a = pruned.Query(
+        {.variant = CodVariant::kCodLMinus, .node = q, .k = 4,
+         .attrs = {attrs[0]}},
+        ws_a);
+    const CodResult b = plain.Query(
+        {.variant = CodVariant::kCodLMinus, .node = q, .k = 4,
+         .attrs = {attrs[0]}},
+        ws_b);
     EXPECT_TRUE(testing::SameResult(a, b)) << "CODL- q=" << q;
     levels_pruned += a.stats.sketch_levels_pruned;
     ws_a.ReseedRng(8000 + q);
     ws_b.ReseedRng(8000 + q);
-    const CodResult a2 = pruned.QueryCodL(q, attrs[0], 4, ws_a);
-    const CodResult b2 = plain.QueryCodL(q, attrs[0], 4, ws_b);
+    const CodResult a2 = pruned.Query(
+        {.variant = CodVariant::kCodL, .node = q, .k = 4, .attrs = {attrs[0]}},
+        ws_a);
+    const CodResult b2 = plain.Query(
+        {.variant = CodVariant::kCodL, .node = q, .k = 4, .attrs = {attrs[0]}},
+        ws_b);
     EXPECT_TRUE(testing::SameResult(a2, b2)) << "CODL q=" << q;
     levels_pruned += a2.stats.sketch_levels_pruned;
   }

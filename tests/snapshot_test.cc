@@ -123,7 +123,12 @@ std::vector<ProbeAnswer> Probe(const EngineCore& core, uint64_t seed) {
     const auto attrs = core.attributes().AttributesOf(q);
     if (attrs.empty()) continue;
     for (const CodResult& r :
-         {core.QueryCodL(q, attrs[0], 5, ws), core.QueryCodU(q, 5, ws)}) {
+         {core.Query({.variant = CodVariant::kCodL,
+                      .node = q,
+                      .k = 5,
+                      .attrs = {attrs[0]}},
+                     ws),
+          core.Query({.variant = CodVariant::kCodU, .node = q, .k = 5}, ws)}) {
       out.push_back(ProbeAnswer{r.found, r.members, r.rank,
                                 r.answered_from_index, r.degraded});
     }
@@ -394,7 +399,9 @@ TEST(SnapshotTest, DegradedEpochRoundTripsIndexAbsent) {
   for (NodeId q = 0; q < 30; ++q) {
     const auto attrs = core.attributes().AttributesOf(q);
     if (attrs.empty()) continue;
-    const CodResult r = (*recovered)->QueryCodL(q, attrs[0], 5, rng);
+    const CodResult r = (*recovered)->Query(
+        {.variant = CodVariant::kCodL, .node = q, .k = 5, .attrs = {attrs[0]}},
+        rng);
     EXPECT_EQ(r.code, StatusCode::kOk);
     EXPECT_TRUE(r.degraded);
     found += r.found;
