@@ -1,14 +1,22 @@
 // cod_cli: command-line front end for the whole pipeline — generate or load
-// attributed graphs, build and persist HIMOR indices, and answer COD queries.
+// attributed graphs, build HIMOR indices and persist them as epoch
+// snapshots, and answer COD queries.
 //
 //   cod_cli dataset <registry-name> <out-prefix>
 //       writes <out-prefix>.edges and <out-prefix>.attrs
 //   cod_cli stats <edges> <attrs>
-//   cod_cli index <edges> <attrs> <index-out> [--theta=N] [--seed=S]
+//   cod_cli index <edges> <attrs> <snapshot-out> [--theta=N] [--seed=S]
+//       clusters the graph, builds the HIMOR index and writes the whole core
+//       (graph, attributes, hierarchy, index) as one epoch snapshot
+//       (storage/epoch_snapshot.h)
 //   cod_cli query <edges> <attrs> <node> <attribute-name>
-//           [--variant=codl|codl-|codr|codu] [--k=N] [--index=path]
+//           [--variant=codl|codl-|codr|codu] [--k=N] [--index=snapshot]
 //           [--seed=S] [--explain] [--dot=community.dot]
 //   cod_cli promoters <edges> <attrs> <attribute-name> [--k=N] [--count=N]
+//           [--index=snapshot]
+//       --index restores the snapshot instead of re-clustering; it is
+//       refused (exit 1) when <edges> or <attrs> differ from the graph and
+//       attributes it was built from, or --theta from its theta.
 //   cod_cli serve <edges> <attrs> [--shards=N] [--queries=N] [--threads=N]
 //           [--k=N] [--seed=S]
 //       builds the serving tier (mono for --shards=1, scatter/gather router
@@ -18,9 +26,9 @@
 //
 // Example session:
 //   cod_cli dataset cora-sim /tmp/cora
-//   cod_cli index /tmp/cora.edges /tmp/cora.attrs /tmp/cora.himor
+//   cod_cli index /tmp/cora.edges /tmp/cora.attrs /tmp/cora.snap
 //   cod_cli query /tmp/cora.edges /tmp/cora.attrs 42 label3
-//           --index=/tmp/cora.himor --k=5     (one line)
+//           --index=/tmp/cora.snap --k=5     (one line)
 //   cod_cli serve /tmp/cora.edges /tmp/cora.attrs --shards=4
 
 #include <cstdio>
@@ -30,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "common/binary_io.h"
 #include "common/task_scheduler.h"
 #include "core/engine_core.h"
 #include "core/query_workspace.h"
@@ -39,6 +48,7 @@
 #include "graph/export.h"
 #include "graph/graph_io.h"
 #include "serving/service_interface.h"
+#include "storage/epoch_snapshot.h"
 
 namespace {
 
@@ -63,12 +73,13 @@ int Usage() {
       "usage:\n"
       "  cod_cli dataset <registry-name> <out-prefix>\n"
       "  cod_cli stats <edges> <attrs>\n"
-      "  cod_cli index <edges> <attrs> <index-out> [--theta=N] [--seed=S]\n"
+      "  cod_cli index <edges> <attrs> <snapshot-out> [--theta=N] "
+      "[--seed=S]\n"
       "  cod_cli query <edges> <attrs> <node> <attribute-name>\n"
-      "          [--variant=codl|codl-|codr|codu] [--k=N] [--index=path]\n"
+      "          [--variant=codl|codl-|codr|codu] [--k=N] [--index=snapshot]\n"
       "          [--seed=S] [--explain] [--dot=out.dot]\n"
       "  cod_cli promoters <edges> <attrs> <attribute-name>\n"
-      "          [--k=N] [--count=N] [--index=path]\n"
+      "          [--k=N] [--count=N] [--index=snapshot]\n"
       "  cod_cli serve <edges> <attrs>\n"
       "          [--shards=N] [--queries=N] [--threads=N] [--k=N] "
       "[--seed=S]\n");
@@ -142,6 +153,62 @@ cod::Result<AttributedGraph> LoadPair(const std::string& edges,
   return data;
 }
 
+// Canonical bytes of a graph or attribute table (the snapshot section
+// encoding), so two loads compare equal exactly when they hold the same data.
+template <typename T, typename Serialize>
+std::string CanonicalBytes(const T& value, Serialize serialize) {
+  cod::BinaryBufferWriter out;
+  serialize(value, out);
+  return std::move(out).TakeBytes();
+}
+
+// The engine for `query` and `promoters`: restored from the --index snapshot
+// when one is given, else clustered from `data` (without a HIMOR index). A
+// snapshot built from other edges or attributes, or under another theta,
+// is refused: its index would answer for a different graph.
+cod::Result<std::unique_ptr<EngineCore>> MakeEngine(
+    const CliFlags& flags, const AttributedGraph& data) {
+  if (flags.index_path.empty()) {
+    EngineOptions options;
+    options.theta = flags.theta;
+    return std::make_unique<EngineCore>(data.graph, data.attributes, options);
+  }
+  cod::Result<cod::DecodedEpochSnapshot> snap =
+      cod::LoadEpochSnapshotFile(flags.index_path);
+  if (!snap.ok()) return snap.status();
+  const cod::EpochSnapshotMeta& meta = snap->meta;
+  const std::string& path = flags.index_path;
+  if (meta.degraded) {
+    return Status::InvalidArgument(path + " holds no HIMOR index");
+  }
+  if (meta.engine_theta != flags.theta) {
+    return Status::InvalidArgument(
+        path + " was built with theta = " + std::to_string(meta.engine_theta) +
+        ", not --theta=" + std::to_string(flags.theta));
+  }
+  if (CanonicalBytes(snap->graph, cod::SerializeGraph) !=
+      CanonicalBytes(data.graph, cod::SerializeGraph)) {
+    return Status::InvalidArgument(path +
+                                   " was built from a different edge file");
+  }
+  if (CanonicalBytes(snap->attributes, cod::SerializeAttributes) !=
+      CanonicalBytes(data.attributes, cod::SerializeAttributes)) {
+    return Status::InvalidArgument(
+        path + " was built from a different attribute file");
+  }
+  EngineOptions options;
+  options.k = meta.engine_k;
+  options.theta = meta.engine_theta;
+  options.himor_max_rank = meta.himor_max_rank;
+  options.diffusion = static_cast<cod::DiffusionKind>(meta.diffusion);
+  return EngineCore::FromPrebuilt(
+      std::make_shared<const cod::Graph>(std::move(snap->graph)),
+      std::make_shared<const cod::AttributeTable>(
+          std::move(snap->attributes)),
+      options, std::move(*snap->hierarchy), std::move(snap->himor),
+      std::move(snap->sketch), /*index_absent_degraded=*/false);
+}
+
 int CmdDataset(int argc, char** argv) {
   if (argc < 4) return Usage();
   cod::Result<AttributedGraph> data = cod::MakeDataset(argv[2]);
@@ -191,11 +258,13 @@ int CmdIndex(int argc, char** argv) {
   EngineCore engine(data->graph, data->attributes, options);
   Rng rng(flags.seed);
   engine.BuildHimor(rng);
-  const Status saved = engine.SaveHimor(argv[4]);
+  cod::EpochSnapshotMeta meta;
+  meta.seed = flags.seed;
+  const std::string bytes = cod::EncodeEpochSnapshot(meta, engine);
+  const Status saved = cod::WriteEpochSnapshotFile(argv[4], bytes);
   if (!saved.ok()) return Fail(saved);
-  std::printf("wrote %s (%zu entries, %.2f MB)\n", argv[4],
-              engine.himor()->NumEntries(),
-              engine.himor()->MemoryBytes() / 1e6);
+  std::printf("wrote %s (epoch snapshot, %zu HIMOR entries, %.2f MB)\n",
+              argv[4], engine.himor()->NumEntries(), bytes.size() / 1e6);
   return 0;
 }
 
@@ -217,10 +286,9 @@ int CmdQuery(int argc, char** argv) {
     return 1;
   }
 
-  EngineOptions options;
-  options.theta = flags.theta;
-  EngineCore engine(data->graph, data->attributes, options);
-  Rng rng(flags.seed);
+  cod::Result<std::unique_ptr<EngineCore>> made = MakeEngine(flags, *data);
+  if (!made.ok()) return Fail(made.status());
+  EngineCore& engine = **made;
   QueryWorkspace ws(engine, flags.seed);
 
   // Map the variant flag onto the canonical QuerySpec entry point.
@@ -242,19 +310,21 @@ int CmdQuery(int argc, char** argv) {
   if (spec.variant != CodVariant::kCodU) spec.attrs = {attr};
 
   CodResult result;
-  if (spec.variant == CodVariant::kCodL) {
-    if (!flags.index_path.empty()) {
-      const Status loaded = engine.LoadHimor(flags.index_path);
-      if (!loaded.ok()) return Fail(loaded);
-    } else {
-      std::printf("(no --index given: building HIMOR in memory)\n");
-      engine.BuildHimor(rng);
-    }
+  if (spec.variant == CodVariant::kCodL && engine.himor() == nullptr) {
+    std::printf("(no --index given: building HIMOR in memory)\n");
+    Rng rng(flags.seed);
+    engine.BuildHimor(rng);
   }
   if (flags.explain && spec.variant == CodVariant::kCodL) {
-    const auto explanation = engine.ExplainCodL(node, attr, flags.k, ws);
-    std::printf("%s", explanation.ToString(engine.base_hierarchy()).c_str());
-    result = explanation.result;
+    const cod::Result<cod::QueryExplanation> explanation =
+        engine.ExplainCodL(node, attr, flags.k, ws);
+    if (explanation.ok()) {
+      std::printf("%s",
+                  explanation->ToString(engine.base_hierarchy()).c_str());
+      result = explanation->result;
+    } else {
+      result.code = explanation.status().code();
+    }
   } else {
     result = engine.Query(spec, ws);
   }
@@ -311,24 +381,26 @@ int CmdPromoters(int argc, char** argv) {
     std::fprintf(stderr, "unknown attribute '%s'\n", argv[4]);
     return 1;
   }
-  EngineOptions options;
-  options.theta = flags.theta;
-  EngineCore engine(data->graph, data->attributes, options);
-  if (!flags.index_path.empty()) {
-    const Status loaded = engine.LoadHimor(flags.index_path);
-    if (!loaded.ok()) return Fail(loaded);
-  } else {
+  cod::Result<std::unique_ptr<EngineCore>> made = MakeEngine(flags, *data);
+  if (!made.ok()) return Fail(made.status());
+  EngineCore& engine = **made;
+  if (engine.himor() == nullptr) {
     Rng rng(flags.seed);
     engine.BuildHimor(rng);
   }
-  const auto promoters =
+  const cod::Result<std::vector<cod::Promoter>> promoters =
       engine.FindTopPromoters(attr, flags.count, flags.k);
-  if (promoters.empty()) {
+  if (!promoters.ok()) {
+    std::fprintf(stderr, "invalid search: %s\n",
+                 promoters.status().ToString().c_str());
+    return 2;
+  }
+  if (promoters->empty()) {
     std::printf("no '%s' holder is top-%u anywhere\n", argv[4], flags.k);
     return 0;
   }
   std::printf("top promoters for '%s' (k = %u):\n", argv[4], flags.k);
-  for (const auto& p : promoters) {
+  for (const cod::Promoter& p : *promoters) {
     std::printf("  node %-8u audience %-7u rank #%u\n", p.node, p.size,
                 p.rank + 1);
   }

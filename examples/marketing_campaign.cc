@@ -91,8 +91,13 @@ int main(int argc, char** argv) {
   const cod::AttributeId topic0 = data->attributes.Find("label0");
   if (topic0 != cod::kInvalidAttribute) {
     std::printf("\ntop promoters for topic 'label0' (index-wide search):\n");
-    for (const auto& promoter :
-         engine.FindTopPromoters(topic0, 3, engine.options().k)) {
+    const cod::Result<std::vector<cod::Promoter>> promoters =
+        engine.FindTopPromoters(topic0, 3, engine.options().k);
+    if (!promoters.ok()) {
+      std::fprintf(stderr, "%s\n", promoters.status().ToString().c_str());
+      return 1;
+    }
+    for (const cod::Promoter& promoter : *promoters) {
       std::printf("  node %-6u audience %-5u rank #%u\n", promoter.node,
                   promoter.size, promoter.rank + 1);
     }

@@ -1,10 +1,12 @@
-// Binary (de)serialization helpers for index, hierarchy, and snapshot
-// persistence. Format discipline: fixed-width little-endian integers (we
-// only target little-endian platforms, checked at build time), a 4-byte
-// magic + 4-byte version per file, length-prefixed arrays of PODs, and a
-// CRC32C over every durable payload (common/crc32c.h).
+// Binary (de)serialization helpers for the epoch snapshot container
+// (storage/epoch_snapshot.h), the one on-disk format: its graph, attribute,
+// hierarchy, HIMOR and sketch sections are encoded with the buffer writer
+// and decoded with the span reader below. Format discipline: fixed-width
+// little-endian integers (we only target little-endian platforms, checked at
+// build time) and length-prefixed arrays of PODs; the container adds the
+// magic, version and a CRC32C per section (common/crc32c.h).
 //
-// Hostile-input stance: readers treat every byte from disk as attacker-
+// Hostile-input stance: the reader treats every byte from disk as attacker-
 // controlled. Length prefixes are validated against the bytes actually
 // remaining BEFORE any allocation (a corrupt uint64_t length must produce a
 // clean Status, never a bad_alloc/OOM), reads past EOF fail instead of
@@ -17,14 +19,12 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "common/crc32c.h"
 #include "common/status.h"
 
 static_assert(std::endian::native == std::endian::little,
@@ -32,47 +32,7 @@ static_assert(std::endian::native == std::endian::little,
 
 namespace cod {
 
-// Streams PODs and length-prefixed arrays to a file. The path given at
-// construction is remembered for error reporting — Finish() takes no
-// arguments and returns the first write error, if any.
-class BinaryWriter {
- public:
-  explicit BinaryWriter(std::string path)
-      : path_(std::move(path)), out_(path_, std::ios::binary) {}
-
-  bool ok() const { return static_cast<bool>(out_); }
-  const std::string& path() const { return path_; }
-
-  template <typename T>
-  void WritePod(const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    out_.write(reinterpret_cast<const char*>(&value), sizeof(T));
-  }
-
-  template <typename T>
-  void WriteVector(const std::vector<T>& values) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    WritePod<uint64_t>(values.size());
-    out_.write(reinterpret_cast<const char*>(values.data()),
-               static_cast<std::streamsize>(values.size() * sizeof(T)));
-  }
-
-  void WriteBytes(std::string_view bytes) {
-    out_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-
-  Status Finish() {
-    out_.flush();
-    if (!out_) return Status::IoError("write to " + path_ + " failed");
-    return Status::Ok();
-  }
-
- private:
-  std::string path_;
-  std::ofstream out_;
-};
-
-// The in-memory twin of BinaryWriter: appends to a std::string. Snapshot
+// Appends PODs and length-prefixed arrays to a std::string. Snapshot
 // sections are assembled here so each section's CRC32C can be computed over
 // the exact bytes that hit the disk.
 class BinaryBufferWriter {
@@ -188,150 +148,6 @@ class BinarySpanReader {
   size_t off_ = 0;
   Status status_;
 };
-
-// File-backed reader with the same hostile-input discipline. The byte
-// offset is tracked explicitly (never derived from tellg(), which reports
-// -1 once the stream fails), so remaining-bytes validation stays sound even
-// after an earlier unchecked failure.
-class BinaryReader {
- public:
-  explicit BinaryReader(std::string path)
-      : path_(std::move(path)), in_(path_, std::ios::binary) {
-    if (!in_) {
-      status_ = Status::IoError("cannot open " + path_);
-      return;
-    }
-    in_.seekg(0, std::ios::end);
-    file_size_ = static_cast<uint64_t>(in_.tellg());
-    in_.seekg(0, std::ios::beg);
-  }
-
-  bool ok() const { return status_.ok(); }
-  const Status& status() const { return status_; }
-  uint64_t file_size() const { return file_size_; }
-  uint64_t remaining() const { return file_size_ - off_; }
-
-  template <typename T>
-  bool ReadPod(T* value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (!status_.ok()) return false;
-    if (remaining() < sizeof(T)) {
-      return Fail("truncated: need " + std::to_string(sizeof(T)) + " bytes");
-    }
-    in_.read(reinterpret_cast<char*>(value), sizeof(T));
-    if (!in_) return Fail("read failed");
-    off_ += sizeof(T);
-    return true;
-  }
-
-  // As BinarySpanReader::ReadVector: the length prefix is validated against
-  // the remaining FILE bytes before the allocation.
-  template <typename T>
-  bool ReadVector(std::vector<T>* values, uint64_t max_elements = UINT64_MAX) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    uint64_t size = 0;
-    if (!ReadPod(&size)) return false;
-    if (size > max_elements) {
-      return Fail("array length " + std::to_string(size) + " exceeds cap " +
-                  std::to_string(max_elements));
-    }
-    if (size > remaining() / sizeof(T)) {
-      return Fail("array length " + std::to_string(size) +
-                  " exceeds remaining bytes");
-    }
-    values->resize(size);
-    in_.read(reinterpret_cast<char*>(values->data()),
-             static_cast<std::streamsize>(size * sizeof(T)));
-    if (!in_) return Fail("read failed");
-    off_ += size * sizeof(T);
-    return true;
-  }
-
-  // Reads the whole remainder of the file (snapshot loaders checksum entire
-  // payloads before parsing them).
-  bool ReadRemaining(std::string* out) {
-    if (!status_.ok()) return false;
-    out->resize(remaining());
-    in_.read(out->data(), static_cast<std::streamsize>(out->size()));
-    if (!in_ && !out->empty()) return Fail("read failed");
-    off_ = file_size_;
-    return true;
-  }
-
-  bool Fail(const std::string& why) {
-    if (status_.ok()) {
-      status_ = Status::InvalidArgument(path_ + " at offset " +
-                                        std::to_string(off_) + ": " + why);
-    }
-    return false;
-  }
-
- private:
-  std::string path_;
-  std::ifstream in_;
-  uint64_t file_size_ = 0;
-  uint64_t off_ = 0;
-  Status status_;
-};
-
-// ---- Checksummed single-payload files. ----
-//
-// Layout: u32 magic | u32 version | u64 payload_size | payload | u32 CRC32C
-// of the payload. The standalone dendrogram / HIMOR files use this; the
-// epoch snapshot container (storage/epoch_snapshot.h) has its own
-// section-wise layout instead.
-
-inline Status WriteChecksummedFile(const std::string& path, uint32_t magic,
-                                   uint32_t version,
-                                   std::string_view payload) {
-  BinaryWriter writer(path);
-  if (!writer.ok()) return Status::IoError("cannot open " + path);
-  writer.WritePod(magic);
-  writer.WritePod(version);
-  writer.WritePod<uint64_t>(payload.size());
-  writer.WriteBytes(payload);
-  writer.WritePod<uint32_t>(Crc32c(payload));
-  return writer.Finish();
-}
-
-// Returns the verified payload bytes; `what` names the format in errors
-// ("dendrogram", "HIMOR index", ...). Magic mismatch, version skew,
-// truncation, over-long payload length, and CRC mismatch all produce a
-// clean Status.
-inline Result<std::string> ReadChecksummedFile(const std::string& path,
-                                               uint32_t magic,
-                                               uint32_t version,
-                                               const std::string& what) {
-  BinaryReader reader(path);
-  if (!reader.ok()) return reader.status();
-  uint32_t file_magic = 0;
-  uint32_t file_version = 0;
-  uint64_t payload_size = 0;
-  if (!reader.ReadPod(&file_magic) || file_magic != magic) {
-    return Status::InvalidArgument(path + ": not a codlib " + what + " file");
-  }
-  if (!reader.ReadPod(&file_version) || file_version != version) {
-    return Status::InvalidArgument(path + ": unsupported " + what +
-                                   " version");
-  }
-  if (!reader.ReadPod(&payload_size) ||
-      payload_size + sizeof(uint32_t) != reader.remaining()) {
-    return Status::InvalidArgument(path + ": " + what +
-                                   " payload length does not match file size");
-  }
-  std::string tail;
-  if (!reader.ReadRemaining(&tail) ||
-      tail.size() != payload_size + sizeof(uint32_t)) {
-    return Status::InvalidArgument(path + ": truncated " + what + " file");
-  }
-  std::string payload(tail, 0, payload_size);
-  uint32_t stored_crc = 0;
-  std::memcpy(&stored_crc, tail.data() + payload_size, sizeof(stored_crc));
-  if (Crc32c(payload) != stored_crc) {
-    return Status::InvalidArgument(path + ": " + what + " checksum mismatch");
-  }
-  return payload;
-}
 
 }  // namespace cod
 

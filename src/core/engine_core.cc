@@ -43,6 +43,30 @@ std::vector<uint32_t> ComponentSizes(const Graph& g) {
   return sizes;
 }
 
+// FromPrebuilt's check of a restored HIMOR index against its hierarchy, one
+// pass over the entries: v's entries must walk up v's chain deepest first
+// (each a proper ancestor of the one before, starting from v's leaf), with
+// rank < max_rank. Queries index the hierarchy with these communities and
+// stop their scans on this order, so an index that breaks it would read out
+// of bounds or answer wrongly.
+Status CheckHimorEntries(const HimorIndex& himor, const Dendrogram& tree) {
+  for (NodeId v = 0; v < himor.NumNodes(); ++v) {
+    CommunityId below = tree.LeafOf(v);
+    for (const HimorIndex::Entry& entry : himor.RanksOf(v)) {
+      if (entry.community >= tree.NumVertices() || entry.community == below ||
+          !tree.IsAncestorOrSelf(entry.community, below) ||
+          entry.rank >= himor.max_rank()) {
+        return Status::InvalidArgument(
+            "HIMOR index entry (community " + std::to_string(entry.community) +
+            ", rank " + std::to_string(entry.rank) + ") of node " +
+            std::to_string(v) + " does not fit the hierarchy");
+      }
+      below = entry.community;
+    }
+  }
+  return Status::Ok();
+}
+
 // A query that ran out of budget before producing an answer.
 CodResult BudgetExhaustedResult(StatusCode code, CodVariant variant) {
   CodResult result;
@@ -257,6 +281,10 @@ Result<std::unique_ptr<EngineCore>> EngineCore::FromPrebuilt(
   if (himor.has_value() && himor->NumNodes() != graph->NumNodes()) {
     return Status::InvalidArgument(
         "HIMOR index was built for a different graph (node count mismatch)");
+  }
+  if (himor.has_value()) {
+    const Status entries = CheckHimorEntries(*himor, base_hierarchy);
+    if (!entries.ok()) return entries;
   }
   if (himor.has_value() && index_absent_degraded) {
     return Status::InvalidArgument(
@@ -526,7 +554,7 @@ CodResult EngineCore::EvaluateChain(const CodChain& chain, NodeId q,
                                                                 : nullptr;
   const ChainEvalOutcome outcome =
       ws.evaluator().Evaluate(chain, q, k, ws.rng(), ws.budget(),
-                              ws.effective_sampling_pool(), guide_ptr);
+                              ws.sampling_pool(), guide_ptr);
   QueryStats& st = ws.stats();
   st.sample_seconds += ws.evaluator().last_sample_seconds();
   st.merge_seconds += ws.evaluator().last_merge_seconds();
@@ -562,7 +590,6 @@ CodResult EngineCore::Query(const QuerySpec& spec, QueryWorkspace& ws) const {
     }
     return result;
   }
-  ws.SetParallelSampling(spec.parallel_sampling);
   const auto start = std::chrono::steady_clock::now();
   // Component-scoped cores answer queries on single-node components
   // definitively: no edges means no influence and no community (kOk with
@@ -901,10 +928,19 @@ CodResult EngineCore::DoCodSketch(NodeId q, uint32_t k) const {
   return result;
 }
 
-QueryExplanation EngineCore::ExplainCodL(NodeId q, AttributeId attr,
-                                         uint32_t k,
-                                         QueryWorkspace& ws) const {
-  COD_CHECK(himor_.has_value());  // build/load HIMOR during setup
+Result<QueryExplanation> EngineCore::ExplainCodL(NodeId q, AttributeId attr,
+                                                 uint32_t k,
+                                                 QueryWorkspace& ws) const {
+  if (!himor_.has_value()) {
+    return Status::FailedPrecondition("ExplainCodL needs the HIMOR index");
+  }
+  if (k == 0) k = options_.k;
+  if (!AcceptsQuery(CodVariant::kCodL, q, k)) {
+    return Status::InvalidArgument(
+        "ExplainCodL: node " + std::to_string(q) + " out of range or k = " +
+        std::to_string(k) + " above the index's max rank " +
+        std::to_string(himor_->max_rank()));
+  }
   QueryExplanation explanation;
   explanation.scores = ComputeReclusteringScores(
       *graph_, *attrs_, base_, lca_, q,
@@ -966,11 +1002,19 @@ std::string QueryExplanation::ToString(const Dendrogram& hierarchy) const {
   return out;
 }
 
-std::vector<Promoter> EngineCore::FindTopPromoters(AttributeId attr,
-                                                   size_t count,
-                                                   uint32_t k) const {
-  COD_CHECK(himor_.has_value());  // build/load HIMOR during setup
-  COD_CHECK(count >= 1);
+Result<std::vector<Promoter>> EngineCore::FindTopPromoters(AttributeId attr,
+                                                           size_t count,
+                                                           uint32_t k) const {
+  if (!himor_.has_value()) {
+    return Status::FailedPrecondition("FindTopPromoters needs the HIMOR index");
+  }
+  if (k == 0) k = options_.k;
+  if (count == 0 || k > himor_->max_rank()) {
+    return Status::InvalidArgument(
+        "FindTopPromoters: count = " + std::to_string(count) + ", k = " +
+        std::to_string(k) + " (count must be >= 1, k at most the index's max "
+        "rank " + std::to_string(himor_->max_rank()) + ")");
+  }
   std::vector<Promoter> promoters;
   for (NodeId v = 0; v < graph_->NumNodes(); ++v) {
     if (!attrs_->Has(v, attr)) continue;
@@ -989,28 +1033,6 @@ std::vector<Promoter> EngineCore::FindTopPromoters(AttributeId attr,
             });
   if (promoters.size() > count) promoters.resize(count);
   return promoters;
-}
-
-Status EngineCore::SaveHimor(const std::string& path) const {
-  if (!himor_.has_value()) {
-    return Status::FailedPrecondition("no HIMOR index built");
-  }
-  return himor_->Save(path);
-}
-
-Status EngineCore::LoadHimor(const std::string& path) {
-  Result<HimorIndex> loaded = HimorIndex::Load(path);
-  if (!loaded.ok()) return loaded.status();
-  if (loaded->NumNodes() != graph_->NumNodes()) {
-    return Status::InvalidArgument(
-        "HIMOR index was built for a different graph (node count mismatch)");
-  }
-  himor_ = std::move(loaded).value();
-  // Any resident sketch belongs to the REPLACED index's build (its rung
-  // estimates would disagree with the loaded entries), so drop it. Pruning
-  // and the sketch rung just switch off.
-  sketch_.reset();
-  return Status::Ok();
 }
 
 void EngineCore::AdoptSketch(std::optional<CoverageSketchIndex> sketch) {

@@ -33,8 +33,8 @@
 // built an index still fail fast (programming error), so the degraded mode
 // is explicit, never accidental.
 //
-// Construction-time mutation: BuildHimor / TryBuildHimor / LoadHimor are
-// setup steps. They must happen-before the core is shared across
+// Construction-time mutation: BuildHimor / TryBuildHimor / MarkIndexAbsent
+// are setup steps. They must happen-before the core is shared across
 // threads (publish the shared_ptr only after setup), exactly like filling a
 // const object before handing out references.
 //
@@ -161,10 +161,6 @@ struct QuerySpec {
   // 0 means "use the batch default" (BatchOptions::default_budget_seconds).
   // Direct EngineCore::Query calls use the workspace budget instead.
   double budget_seconds = 0.0;
-  // Intra-query parallel RR sampling: effective only when the workspace has
-  // a sampling pool (QueryWorkspace::SetSamplingPool); on by default then.
-  // Results are bit-identical either way — this is a latency knob only.
-  bool parallel_sampling = true;
 };
 
 struct CodResult {
@@ -238,8 +234,11 @@ class EngineCore {
   // LCA index are recomputed (both cheap and deterministic functions of the
   // graph / hierarchy), so a core restored from a snapshot answers queries
   // bit-identically to the one that wrote it. Fails with InvalidArgument
-  // when the parts disagree (node counts, leaf counts) instead of
-  // CHECK-crashing: snapshot bytes are hostile input.
+  // when the parts disagree (node counts, leaf counts, or a HIMOR entry that
+  // is not on its node's chain in the hierarchy, deepest first, with rank
+  // below the index's max rank) instead of CHECK-crashing or answering from
+  // a misfit index: snapshot bytes are hostile input. The entry check is
+  // one pass over the index.
   // `sketch` restores the coverage-sketch index persisted alongside the
   // HIMOR index (snapshot section kSketch); it requires `himor` to be
   // present and is validated against the graph/hierarchy shape. A missing
@@ -289,15 +288,20 @@ class EngineCore {
   CodResult Query(const QuerySpec& spec, QueryWorkspace& ws) const;
 
   // CODL with its LORE score profile and index decision (see
-  // QueryExplanation). Requires himor().
-  QueryExplanation ExplainCodL(NodeId q, AttributeId attr, uint32_t k,
-                               QueryWorkspace& ws) const;
+  // QueryExplanation). k == 0 means the engine default. Refuses with
+  // kInvalidArgument a node out of range or k above the index's max rank,
+  // and with kFailedPrecondition a core without himor().
+  Result<QueryExplanation> ExplainCodL(NodeId q, AttributeId attr, uint32_t k,
+                                       QueryWorkspace& ws) const;
 
   // Reverse (promoter) search: which attribute holders have the LARGEST
   // characteristic communities in the base hierarchy? Answered entirely
-  // from HIMOR (O(sum depth) scan). Requires himor().
-  std::vector<Promoter> FindTopPromoters(AttributeId attr, size_t count,
-                                         uint32_t k) const;
+  // from HIMOR (O(sum depth) scan). k == 0 means the engine default.
+  // Refuses with kInvalidArgument count == 0 or k above the index's max
+  // rank, and with kFailedPrecondition a core without himor().
+  Result<std::vector<Promoter>> FindTopPromoters(AttributeId attr,
+                                                 size_t count,
+                                                 uint32_t k) const;
 
   // Evaluates an externally built chain with the workspace's evaluator.
   CodResult EvaluateChain(const CodChain& chain, NodeId q, uint32_t k,
@@ -333,7 +337,6 @@ class EngineCore {
   // failpoint only around the Try forms.
   void BuildHimor(Rng& rng);
   void BuildHimor(uint64_t seed, TaskScheduler* scheduler = nullptr);
-  Status LoadHimor(const std::string& path);
   // Declares that this core intentionally serves WITHOUT a HIMOR index (the
   // budgeted build failed and the epoch is being published degraded). CODL
   // then answers via the CODL- computation (local recluster + spliced
@@ -341,7 +344,6 @@ class EngineCore {
   // CODU, both tagged degraded. Setup-time mutator, like BuildHimor.
   void MarkIndexAbsent();
 
-  Status SaveHimor(const std::string& path) const;
   const HimorIndex* himor() const {
     return himor_.has_value() ? &*himor_ : nullptr;
   }

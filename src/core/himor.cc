@@ -1123,13 +1123,6 @@ Result<HimorIndex> HimorIndex::BuildReusing(const HimorBuildSpec& spec) {
   });
 }
 
-
-namespace {
-constexpr uint32_t kHimorMagic = 0x434F4449;  // "CODI"
-// v2: CRC32C envelope (WriteChecksummedFile); v1 (no checksum) dropped.
-constexpr uint32_t kHimorVersion = 2;
-}  // namespace
-
 void HimorIndex::SerializeTo(BinaryBufferWriter& out) const {
   out.WritePod(max_rank_);
   out.WriteVector(offsets_);
@@ -1158,26 +1151,6 @@ Result<HimorIndex> HimorIndex::Deserialize(BinarySpanReader& in) {
       in.Fail("inconsistent HIMOR offsets");
       return in.status();
     }
-  }
-  return index;
-}
-
-Status HimorIndex::Save(const std::string& path) const {
-  BinaryBufferWriter payload;
-  SerializeTo(payload);
-  return WriteChecksummedFile(path, kHimorMagic, kHimorVersion,
-                              payload.bytes());
-}
-
-Result<HimorIndex> HimorIndex::Load(const std::string& path) {
-  Result<std::string> payload =
-      ReadChecksummedFile(path, kHimorMagic, kHimorVersion, "HIMOR index");
-  if (!payload.ok()) return payload.status();
-  BinarySpanReader reader(*payload, path);
-  Result<HimorIndex> index = Deserialize(reader);
-  if (!index.ok()) return index.status();
-  if (!reader.exhausted()) {
-    return Status::InvalidArgument(path + ": trailing bytes after index");
   }
   return index;
 }

@@ -231,16 +231,11 @@ class HimorIndex {
     return entries_.size() * sizeof(Entry) + offsets_.size() * sizeof(size_t);
   }
 
-  // Binary persistence; a loaded index is only valid together with the
-  // dendrogram it was built over (persist that with SaveDendrogram). The
-  // file format carries a CRC32C envelope, so corruption (bit flips,
-  // truncation) fails the load cleanly instead of producing a wrong index.
-  Status Save(const std::string& path) const;
-  static Result<HimorIndex> Load(const std::string& path);
-
-  // Buffer forms of the payload codec, for embedding into checksummed
-  // containers (storage/epoch_snapshot.h). Deserialize performs the same
-  // structural validation as Load.
+  // Payload codec for the epoch snapshot's kHimor section
+  // (storage/epoch_snapshot.h), whose CRC guards integrity. Deserialize
+  // checks the CSR shape only; an index is valid only together with the
+  // hierarchy it was built over, and EngineCore::FromPrebuilt checks every
+  // entry against that hierarchy.
   void SerializeTo(BinaryBufferWriter& out) const;
   static Result<HimorIndex> Deserialize(BinarySpanReader& in);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <mutex>
+#include <numeric>
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
@@ -186,6 +187,53 @@ CodResult ShardMissedResult(const QuerySpec& spec) {
   return result;
 }
 
+using Clock = std::chrono::steady_clock;
+
+// How long each chunk sat behind other scheduler work before its first query
+// ran; null when the registry is off (two clock reads per chunk otherwise
+// wasted).
+Histogram* QueueToStartHistogram() {
+  return MetricsRegistry::enabled()
+             ? MetricsRegistry::Instance().GetHistogram(
+                   "cod_batch_queue_to_start_seconds")
+             : nullptr;
+}
+
+// The body of one batch chunk, shared by both runners: answers specs[i]
+// into results[i] for every i in `indices` on one fresh workspace and
+// returns the chunk's tally. Each query is seeded by its batch position i,
+// so an answer does not depend on which shard or chunk served it.
+BatchStats RunChunk(const EngineCore& core, std::span<const QuerySpec> specs,
+                    std::span<const size_t> indices, uint64_t batch_seed,
+                    const BatchOptions& options, Histogram* queue_hist,
+                    Clock::time_point submit_time,
+                    std::vector<CodResult>& results) {
+  if (queue_hist != nullptr) {
+    queue_hist->Observe(
+        std::chrono::duration<double>(Clock::now() - submit_time).count());
+  }
+  QueryWorkspace ws(core, /*seed=*/0);
+  if (options.sampling_pool != nullptr) {
+    ws.SetSamplingPool(options.sampling_pool);
+  }
+  BatchStats local;
+  for (const size_t i : indices) {
+    // Failure site for tests: a worker "dying" on a query marks that slot
+    // cancelled instead of crashing the batch.
+    if (COD_FAILPOINT("query_batch/worker")) {
+      CodResult killed;
+      killed.code = StatusCode::kCancelled;
+      killed.variant_served = specs[i].variant;
+      results[i] = std::move(killed);
+    } else {
+      results[i] = RunQuerySpecWithBudget(core, specs[i], ws, options,
+                                          BatchQuerySeed(batch_seed, i));
+    }
+    TallyResult(results[i], &local);
+  }
+  return local;
+}
+
 }  // namespace
 
 void BatchStats::Add(const BatchStats& other) {
@@ -271,15 +319,10 @@ std::vector<CodResult> RunQueryBatch(const EngineCore& core,
   BatchStats merged;
   merged.shed = shed;
 
-  // Queue wait: how long each chunk sat behind other scheduler work before
-  // its first query ran. Only measured when the registry is on (two clock
-  // reads per chunk otherwise wasted).
-  Histogram* queue_hist =
-      MetricsRegistry::enabled()
-          ? MetricsRegistry::Instance().GetHistogram(
-                "cod_batch_queue_to_start_seconds")
-          : nullptr;
-  const auto submit_time = std::chrono::steady_clock::now();
+  Histogram* queue_hist = QueueToStartHistogram();
+  const Clock::time_point submit_time = Clock::now();
+  std::vector<size_t> positions(specs.size());
+  std::iota(positions.begin(), positions.end(), size_t{0});
 
   // The group scopes completion to THIS batch. Waiting from a scheduler
   // worker is safe (inline help), so batches may be issued from tasks.
@@ -287,39 +330,17 @@ std::vector<CodResult> RunQueryBatch(const EngineCore& core,
   for (size_t c = 0; c < num_chunks; ++c) {
     const size_t begin = specs.size() * c / num_chunks;
     const size_t end = specs.size() * (c + 1) / num_chunks;
-    scheduler.Submit(TaskPriority::kInteractive, group, [&core, &results,
-                                                         specs, batch_seed,
-                                                         begin, end,
-                                                         &effective, &mu,
-                                                         &merged, queue_hist,
-                                                         submit_time] {
-      if (queue_hist != nullptr) {
-        queue_hist->Observe(std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - submit_time)
-                                .count());
-      }
-      QueryWorkspace ws(core, /*seed=*/0);
-      if (effective.sampling_pool != nullptr) {
-        ws.SetSamplingPool(effective.sampling_pool);
-      }
-      BatchStats local;
-      for (size_t i = begin; i < end; ++i) {
-        // Failure site for tests: a worker "dying" on a query marks that
-        // slot cancelled instead of crashing the batch.
-        if (COD_FAILPOINT("query_batch/worker")) {
-          CodResult killed;
-          killed.code = StatusCode::kCancelled;
-          killed.variant_served = specs[i].variant;
-          results[i] = std::move(killed);
-        } else {
-          results[i] = RunQuerySpecWithBudget(core, specs[i], ws, effective,
-                                              BatchQuerySeed(batch_seed, i));
-        }
-        TallyResult(results[i], &local);
-      }
-      std::lock_guard<std::mutex> lock(mu);
-      merged.Add(local);
-    });
+    const std::span<const size_t> chunk(positions.data() + begin,
+                                        end - begin);
+    scheduler.Submit(TaskPriority::kInteractive, group,
+                     [&core, &results, specs, chunk, batch_seed, &effective,
+                      &mu, &merged, queue_hist, submit_time] {
+                       const BatchStats local =
+                           RunChunk(core, specs, chunk, batch_seed, effective,
+                                    queue_hist, submit_time, results);
+                       std::lock_guard<std::mutex> lock(mu);
+                       merged.Add(local);
+                     });
   }
   group.Wait();
 
@@ -356,6 +377,9 @@ std::vector<CodResult> RunShardedQueryBatch(
   BatchStats merged;
   merged.shed = shed;
 
+  Histogram* queue_hist = QueueToStartHistogram();
+  const Clock::time_point submit_time = Clock::now();
+
   // Scatter: every shard's chunks go into ONE group, submitted before any
   // wait, so shards progress independently (a stalled shard's chunks just
   // sit on the queues; they never gate another shard's workers).
@@ -387,46 +411,31 @@ std::vector<CodResult> RunShardedQueryBatch(
     for (size_t c = 0; c < num_chunks; ++c) {
       const size_t begin = indices.size() * c / num_chunks;
       const size_t end = indices.size() * (c + 1) / num_chunks;
-      scheduler.Submit(TaskPriority::kInteractive, group, [&core, &results,
-                                                           specs, &indices,
-                                                           batch_seed, begin,
-                                                           end, &effective,
-                                                           &mu, &merged] {
-        QueryWorkspace ws(core, /*seed=*/0);
-        if (effective.sampling_pool != nullptr) {
-          ws.SetSamplingPool(effective.sampling_pool);
-        }
-        BatchStats local;
-        for (size_t pos = begin; pos < end; ++pos) {
-          const size_t i = indices[pos];
-          if (COD_FAILPOINT("query_batch/worker")) {
-            CodResult killed;
-            killed.code = StatusCode::kCancelled;
-            killed.variant_served = specs[i].variant;
-            results[i] = std::move(killed);
-          } else {
-            // Seeded by the ORIGINAL batch position: the answer does not
-            // depend on which shard (or chunk) served the query.
-            results[i] = RunQuerySpecWithBudget(core, specs[i], ws, effective,
-                                                BatchQuerySeed(batch_seed, i));
-            if (results[i].code == StatusCode::kTimeout) {
-              // Shard-aware degradation: the deadline ate every rung —
-              // serve the degraded non-answer instead of an error. Counts
-              // only as shard_missed; TallyResult would re-bucket it as
-              // degraded and double it into the partition.
-              results[i] = ShardMissedResult(specs[i]);
-              ++local.shard_missed;
-              continue;
-            }
-          }
-          TallyResult(results[i], &local);
-        }
-        std::lock_guard<std::mutex> lock(mu);
-        merged.Add(local);
-      });
+      const std::span<const size_t> chunk(indices.data() + begin,
+                                          end - begin);
+      scheduler.Submit(TaskPriority::kInteractive, group,
+                       [&core, &results, specs, chunk, batch_seed, &effective,
+                        &mu, &merged, queue_hist, submit_time] {
+                         const BatchStats local = RunChunk(
+                             core, specs, chunk, batch_seed, effective,
+                             queue_hist, submit_time, results);
+                         std::lock_guard<std::mutex> lock(mu);
+                         merged.Add(local);
+                       });
     }
   }
   group.Wait();
+
+  // Shard-aware degradation: a query whose deadline ate every rung is served
+  // as the degraded non-answer instead of an error. It counts only as
+  // shard_missed (TallyResult bucketed it as a timeout), never as degraded,
+  // so the outcome buckets still partition the batch.
+  for (size_t i = 0; i < results.size(); ++i) {
+    if (results[i].code != StatusCode::kTimeout) continue;
+    results[i] = ShardMissedResult(specs[i]);
+    --merged.timeout;
+    ++merged.shard_missed;
+  }
 
   PublishBatchMetrics(merged);
   if (stats != nullptr) *stats = merged;

@@ -44,23 +44,15 @@ class QueryWorkspace {
 
   // Optional intra-query sampling scheduler (borrowed, never owned; see
   // influence/rr_pool.h). When set, queries through this workspace shard
-  // their RR-pool construction across it — unless the active QuerySpec
-  // disables `parallel_sampling`. Sharing the batch scheduler is the normal
-  // case: sampling chunks are interactive tasks whose group wait helps
-  // inline, so there is no self-scheduler hazard. Results are bit-identical
-  // with or without a scheduler.
+  // their RR-pool construction across it; without one they sample
+  // serially. Sharing the batch scheduler is the normal case: sampling
+  // chunks are interactive tasks whose group wait helps inline, so there is
+  // no self-scheduler hazard. Results are bit-identical with or without a
+  // scheduler.
   void SetSamplingPool(TaskScheduler* scheduler) {
     sampling_pool_ = scheduler;
   }
   TaskScheduler* sampling_pool() const { return sampling_pool_; }
-
-  // Per-query effective toggle, set by EngineCore::Query from the spec
-  // (defaults to on). EvaluateChain consults the combination.
-  void SetParallelSampling(bool on) { parallel_sampling_ = on; }
-  bool parallel_sampling() const { return parallel_sampling_; }
-  TaskScheduler* effective_sampling_pool() const {
-    return parallel_sampling_ ? sampling_pool_ : nullptr;
-  }
 
   // Per-query budget: EngineCore query methods poll this between units of
   // work (RR samples, LORE edge strides) and unwind with kTimeout /
@@ -89,7 +81,6 @@ class QueryWorkspace {
   Budget budget_;
   QueryStats stats_;
   TaskScheduler* sampling_pool_ = nullptr;  // borrowed, never owned
-  bool parallel_sampling_ = true;
 };
 
 }  // namespace cod

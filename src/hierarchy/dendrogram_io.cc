@@ -5,14 +5,6 @@
 #include "common/binary_io.h"
 
 namespace cod {
-namespace {
-
-constexpr uint32_t kMagic = 0x434F4444;  // "CODD"
-// v2: CRC32C envelope (WriteChecksummedFile); v1 (no checksum) is no longer
-// readable — the formats are repo-internal and regenerable.
-constexpr uint32_t kVersion = 2;
-
-}  // namespace
 
 void SerializeDendrogram(const Dendrogram& dendrogram,
                          BinaryBufferWriter& out) {
@@ -70,26 +62,6 @@ Result<Dendrogram> DeserializeDendrogram(BinarySpanReader& in) {
     return in.status();
   }
   return std::move(builder).Build();
-}
-
-Status SaveDendrogram(const Dendrogram& dendrogram, const std::string& path) {
-  BinaryBufferWriter payload;
-  SerializeDendrogram(dendrogram, payload);
-  return WriteChecksummedFile(path, kMagic, kVersion, payload.bytes());
-}
-
-Result<Dendrogram> LoadDendrogram(const std::string& path) {
-  Result<std::string> payload =
-      ReadChecksummedFile(path, kMagic, kVersion, "dendrogram");
-  if (!payload.ok()) return payload.status();
-  BinarySpanReader reader(*payload, path);
-  Result<Dendrogram> dendrogram = DeserializeDendrogram(reader);
-  if (!dendrogram.ok()) return dendrogram.status();
-  if (!reader.exhausted()) {
-    return Status::InvalidArgument(path +
-                                   ": trailing bytes after dendrogram");
-  }
-  return dendrogram;
 }
 
 }  // namespace cod

@@ -1,23 +1,14 @@
-// Binary persistence for community hierarchies.
-//
-// Building a hierarchy is the expensive part of engine construction on large
-// graphs; saving it alongside the HIMOR index lets a service restart without
-// re-clustering. The format stores the merge structure (per internal vertex,
-// its children); depths and leaf intervals are recomputed on load, so a
-// loaded dendrogram is bit-identical in behaviour to the original.
-//
-// File format v2 wraps the payload in a CRC32C envelope (magic, version,
-// length-prefixed payload, trailing checksum): any single-byte flip or
-// truncation of a saved file is detected at load time and reported as a
-// clean Status — never a crash, never a silently different hierarchy. The
-// payload codec is also exposed buffer-to-buffer for embedding into larger
-// containers (storage/epoch_snapshot.h), which carry their own per-section
-// checksums.
+// Binary codec for community hierarchies: the payload of the epoch
+// snapshot's kHierarchy section (storage/epoch_snapshot.h), which owns the
+// magic, version and CRC32C. Building a hierarchy is the expensive part of
+// engine construction on large graphs; restoring it from a snapshot lets a
+// service or tool skip re-clustering. The payload stores the merge
+// structure (per internal vertex, its children); depths and leaf intervals
+// are recomputed on decode, so a decoded dendrogram is bit-identical in
+// behaviour to the original.
 
 #ifndef COD_HIERARCHY_DENDROGRAM_IO_H_
 #define COD_HIERARCHY_DENDROGRAM_IO_H_
-
-#include <string>
 
 #include "common/binary_io.h"
 #include "common/status.h"
@@ -25,14 +16,9 @@
 
 namespace cod {
 
-Status SaveDendrogram(const Dendrogram& dendrogram, const std::string& path);
-
-Result<Dendrogram> LoadDendrogram(const std::string& path);
-
-// Buffer forms of the same payload codec (no magic/version/CRC envelope —
-// the embedding container owns integrity). Deserialize validates structure
-// exactly like LoadDendrogram: corrupt bytes produce a Status, never a
-// crash or an invalid Dendrogram.
+// DeserializeDendrogram validates structure (header bounds, child
+// references, a single tree): corrupt bytes produce a Status, never a crash
+// or an invalid Dendrogram.
 void SerializeDendrogram(const Dendrogram& dendrogram,
                          BinaryBufferWriter& out);
 Result<Dendrogram> DeserializeDendrogram(BinarySpanReader& in);

@@ -107,7 +107,7 @@ class RrSlabPool {
 
   // Number of times any slab had to grow beyond its capacity. Stable across
   // calls = the zero-steady-state-allocation contract holds (pinned by
-  // tests/parallel_sampling_test.cc).
+  // tests/sampling_pool_test.cc).
   uint64_t growth_events() const { return growth_events_; }
 
  private:

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <vector>
 
 #include "common/binary_io.h"
@@ -92,6 +93,22 @@ bool DeserializeMeta(BinarySpanReader& in, EpochSnapshotMeta* meta) {
   }
   if (meta->diffusion > 1) return in.Fail("unknown diffusion kind");
   return true;
+}
+
+// Reads the whole file at `path`. IoError when it cannot be opened or read:
+// the bytes were never seen, so nothing is proven corrupt.
+Result<std::string> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IoError("cannot open " + path);
+  in.seekg(0, std::ios::end);
+  const std::streamoff size = in.tellg();
+  in.seekg(0, std::ios::beg);
+  if (size < 0 || !in) return Status::IoError("cannot size " + path);
+  std::string bytes(static_cast<size_t>(size), '\0');
+  if (!in.read(bytes.data(), size)) {
+    return Status::IoError("read from " + path + " failed");
+  }
+  return bytes;
 }
 
 Status CloseAndFail(int fd, const std::string& tmp, const std::string& why) {
@@ -448,11 +465,9 @@ Result<DecodedEpochSnapshot> LoadEpochSnapshotFile(const std::string& path) {
   if (COD_FAILPOINT("storage/snapshot_load")) {
     return Status::IoError("failpoint storage/snapshot_load armed");
   }
-  BinaryReader reader(path);
-  if (!reader.ok()) return reader.status();
-  std::string bytes;
-  if (!reader.ReadRemaining(&bytes)) return reader.status();
-  return DecodeEpochSnapshot(bytes, path);
+  Result<std::string> bytes = ReadFileBytes(path);
+  if (!bytes.ok()) return bytes.status();
+  return DecodeEpochSnapshot(*bytes, path);
 }
 
 }  // namespace cod

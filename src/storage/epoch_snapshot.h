@@ -1,8 +1,10 @@
 // Durable epoch snapshots: the on-disk container for one published
-// EngineCore epoch, and the crash-safe file protocol around it.
+// EngineCore epoch, and the crash-safe file protocol around it. This is the
+// repo's one persistence format: services write and recover it, and
+// `cod_cli index` writes one snapshot per offline index build.
 //
-// Container layout (version 2, little-endian; see DESIGN.md Sec. 13; v2
-// added options_fingerprint to the kMeta section):
+// Container layout (version 3, little-endian; see DESIGN.md Sec. 13; v2
+// added options_fingerprint to the kMeta section, v3 the kSketch section):
 //
 //   u32 magic "CODS" | u32 version
 //   u64 epoch | u64 build_index | u64 seed | u32 flags | u32 section_count
@@ -20,8 +22,9 @@
 // caught either by the header CRC (metadata damage) or by one section CRC
 // (payload damage) before any of the payload is interpreted. The payload
 // decoders (graph_io.h, dendrogram_io.h, himor.h) then re-validate
-// structure on top, so even a corruption that forges both CRCs cannot
-// crash the process or materialize an invalid object.
+// structure on top, and EngineCore::FromPrebuilt checks every HIMOR entry
+// against the decoded hierarchy, so even a corruption that forges both CRCs
+// cannot crash the process or materialize an invalid core.
 //
 // Crash-safe publication: WriteEpochSnapshotFile writes a temp file in the
 // target directory, fsyncs it, atomically renames it over the final path,

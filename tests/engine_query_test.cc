@@ -312,7 +312,10 @@ TEST(EngineQueryTest, ExplainCodLMatchesQueryAndNarrates) {
         {.variant = CodVariant::kCodL, .node = q, .k = 5, .attrs = {own[0]}},
         ws);
     ws.ReseedRng(200 + q);
-    const auto explanation = core.ExplainCodL(q, own[0], 5, ws);
+    const Result<QueryExplanation> explained_or =
+        core.ExplainCodL(q, own[0], 5, ws);
+    ASSERT_TRUE(explained_or.ok()) << explained_or.status().ToString();
+    const QueryExplanation& explanation = *explained_or;
     EXPECT_EQ(explanation.result.found, direct.found);
     EXPECT_EQ(explanation.result.members, direct.members);
     EXPECT_EQ(explanation.c_ell_size,
@@ -339,7 +342,9 @@ TEST(EngineQueryTest, FindTopPromotersReturnsVerifiedHolders) {
   Rng rng(25);
   core.BuildHimor(rng);
   const AttributeId attr = 0;
-  const auto promoters = core.FindTopPromoters(attr, 5, 5);
+  const Result<std::vector<Promoter>> found = core.FindTopPromoters(attr, 5, 5);
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  const std::vector<Promoter>& promoters = *found;
   ASSERT_FALSE(promoters.empty());
   for (size_t i = 0; i < promoters.size(); ++i) {
     EXPECT_TRUE(w.attrs.Has(promoters[i].node, attr));
@@ -351,6 +356,58 @@ TEST(EngineQueryTest, FindTopPromotersReturnsVerifiedHolders) {
     if (i > 0) {
       EXPECT_GE(promoters[i - 1].size, promoters[i].size);
     }
+  }
+}
+
+// The index-only helpers refuse bad input with a Status, like Query: a node
+// out of range, k above the index's max rank, and an empty promoter list.
+TEST(EngineQueryTest, ExplainCodLRefusesBadInput) {
+  const World w = MakeWorld(26, 120);
+  EngineCore core(w.graph, w.attrs, {});
+  QueryWorkspace ws(core, 0);
+  const AttributeId attr = AnyAttributeOf(w.attrs, 0);
+  EXPECT_EQ(core.ExplainCodL(0, attr, 5, ws).status().code(),
+            StatusCode::kFailedPrecondition);
+  Rng rng(27);
+  core.BuildHimor(rng);
+  const uint32_t max_rank = core.himor()->max_rank();
+  const NodeId n = static_cast<NodeId>(w.graph.NumNodes());
+  EXPECT_EQ(core.ExplainCodL(n, attr, 5, ws).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(core.ExplainCodL(0, attr, max_rank + 1, ws).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(core.ExplainCodL(0, attr, max_rank, ws).ok());
+  // k == 0 is the engine default, exactly as in Query.
+  const Result<QueryExplanation> by_default = core.ExplainCodL(0, attr, 0, ws);
+  const Result<QueryExplanation> explicit_k =
+      core.ExplainCodL(0, attr, core.options().k, ws);
+  ASSERT_TRUE(by_default.ok());
+  ASSERT_TRUE(explicit_k.ok());
+  EXPECT_EQ(by_default->result.members, explicit_k->result.members);
+}
+
+TEST(EngineQueryTest, FindTopPromotersRefusesBadInput) {
+  const World w = MakeWorld(28, 120);
+  EngineCore core(w.graph, w.attrs, {});
+  EXPECT_EQ(core.FindTopPromoters(0, 5, 5).status().code(),
+            StatusCode::kFailedPrecondition);
+  Rng rng(29);
+  core.BuildHimor(rng);
+  const uint32_t max_rank = core.himor()->max_rank();
+  EXPECT_EQ(core.FindTopPromoters(0, 0, 5).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(core.FindTopPromoters(0, 5, max_rank + 1).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(core.FindTopPromoters(0, 5, max_rank).ok());
+  const Result<std::vector<Promoter>> by_default =
+      core.FindTopPromoters(0, 5, 0);
+  const Result<std::vector<Promoter>> explicit_k =
+      core.FindTopPromoters(0, 5, core.options().k);
+  ASSERT_TRUE(by_default.ok());
+  ASSERT_TRUE(explicit_k.ok());
+  ASSERT_EQ(by_default->size(), explicit_k->size());
+  for (size_t i = 0; i < by_default->size(); ++i) {
+    EXPECT_EQ((*by_default)[i].node, (*explicit_k)[i].node);
   }
 }
 

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "common/deadline.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
@@ -29,6 +30,7 @@
 #include "hierarchy/agglomerative.h"
 #include "hierarchy/dendrogram_io.h"
 #include "hierarchy/lca.h"
+#include "storage/epoch_snapshot.h"
 
 namespace cod {
 namespace {
@@ -79,10 +81,23 @@ TEST_P(FuzzSeedTest, RandomBytesNeverCrashLoaders) {
   for (int trial = 0; trial < 20; ++trial) {
     const size_t size = rng.UniformInt(512);
     const std::string path = TempPath("fuzz.bin");
-    WriteBytes(path, RandomBytes(rng, size));
-    // Binary loaders: must return a Status (usually InvalidArgument).
-    { Result<Dendrogram> r = LoadDendrogram(path); (void)r.ok(); }
-    { Result<HimorIndex> r = HimorIndex::Load(path); (void)r.ok(); }
+    const std::string bytes = RandomBytes(rng, size);
+    WriteBytes(path, bytes);
+    // Binary decoders: must return a Status (usually InvalidArgument).
+    {
+      BinarySpanReader in(bytes, "fuzz");
+      Result<Dendrogram> r = DeserializeDendrogram(in);
+      (void)r.ok();
+    }
+    {
+      BinarySpanReader in(bytes, "fuzz");
+      Result<HimorIndex> r = HimorIndex::Deserialize(in);
+      (void)r.ok();
+    }
+    {
+      Result<DecodedEpochSnapshot> r = LoadEpochSnapshotFile(path);
+      (void)r.ok();
+    }
     // Text loaders: random bytes are usually malformed lines.
     { Result<Graph> r = LoadEdgeList(path); (void)r.ok(); }
     { Result<AttributeTable> r = LoadAttributes(path, 16); (void)r.ok(); }
@@ -93,12 +108,9 @@ TEST_P(FuzzSeedTest, BitFlippedDendrogramsNeverCrash) {
   Rng rng(GetParam() + 100);
   const Graph g = EnsureConnected(ErdosRenyi(30, 90, rng), rng);
   const Dendrogram d = AgglomerativeCluster(g);
-  const std::string path = TempPath("valid_dendrogram.bin");
-  ASSERT_TRUE(SaveDendrogram(d, path).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
+  BinaryBufferWriter out;
+  SerializeDendrogram(d, out);
+  const std::string bytes = std::move(out).TakeBytes();
   for (int trial = 0; trial < 30; ++trial) {
     std::string mutated = bytes;
     // Flip a few random bytes (past the magic so some headers survive).
@@ -107,9 +119,8 @@ TEST_P(FuzzSeedTest, BitFlippedDendrogramsNeverCrash) {
       mutated[rng.UniformInt(mutated.size())] ^=
           static_cast<char>(1 + rng.UniformInt(255));
     }
-    const std::string mpath = TempPath("mutated_dendrogram.bin");
-    WriteBytes(mpath, mutated);
-    Result<Dendrogram> r = LoadDendrogram(mpath);
+    BinarySpanReader in(mutated, "mutated dendrogram");
+    Result<Dendrogram> r = DeserializeDendrogram(in);
     if (r.ok()) {
       // If it loaded, it must be structurally sound.
       EXPECT_EQ(r->LeafCount(r->Root()), r->NumLeaves());
@@ -130,12 +141,9 @@ TEST_P(FuzzSeedTest, BitFlippedHimorNeverCrashes) {
                          .theta = 5,
                          .seed = rng.Next()})
           .value();
-  const std::string path = TempPath("valid_himor.bin");
-  ASSERT_TRUE(index.Save(path).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  in.close();
+  BinaryBufferWriter out;
+  index.SerializeTo(out);
+  const std::string bytes = std::move(out).TakeBytes();
   for (int trial = 0; trial < 30; ++trial) {
     std::string mutated = bytes;
     mutated[rng.UniformInt(mutated.size())] ^=
@@ -144,9 +152,8 @@ TEST_P(FuzzSeedTest, BitFlippedHimorNeverCrashes) {
     if (rng.Bernoulli(0.5)) {
       mutated.resize(rng.UniformInt(mutated.size() + 1));
     }
-    const std::string mpath = TempPath("mutated_himor.bin");
-    WriteBytes(mpath, mutated);
-    Result<HimorIndex> r = HimorIndex::Load(mpath);
+    BinarySpanReader in(mutated, "mutated himor");
+    Result<HimorIndex> r = HimorIndex::Deserialize(in);
     if (r.ok()) {
       EXPECT_GE(r->max_rank(), 1u);
     }

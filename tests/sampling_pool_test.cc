@@ -1,6 +1,6 @@
 // Determinism and allocation contracts of intra-query parallel RR sampling
-// (influence/rr_pool.h): results are bit-identical across parallel_sampling
-// off / 1-worker scheduler / 8-worker scheduler, batches stay thread-count
+// (influence/rr_pool.h): results are bit-identical across a workspace with
+// no sampling scheduler / a 1-worker scheduler / an 8-worker scheduler, batches stay thread-count
 // independent with a sampling scheduler attached, and the slab pool stops
 // allocating once warmed.
 
@@ -62,7 +62,7 @@ std::vector<QuerySpec> MakeVariantSpecs(const World& w, size_t count) {
   return specs;
 }
 
-TEST(ParallelSamplingTest, QueryBitIdenticalAcrossSamplingModes) {
+TEST(SamplingPoolTest, QueryBitIdenticalAcrossSamplingModes) {
   const World w = MakeWorld(1);
   EngineOptions options;
   options.theta = 8;
@@ -71,7 +71,7 @@ TEST(ParallelSamplingTest, QueryBitIdenticalAcrossSamplingModes) {
 
   TaskScheduler sched1(1);
   TaskScheduler sched8(8);
-  QueryWorkspace ws_off(core, 0);
+  QueryWorkspace ws_off(core, 0);  // no sampling pool: serial sampling
   QueryWorkspace ws_one(core, 0);
   ws_one.SetSamplingPool(&sched1);
   QueryWorkspace ws_eight(core, 0);
@@ -79,14 +79,12 @@ TEST(ParallelSamplingTest, QueryBitIdenticalAcrossSamplingModes) {
 
   const std::vector<QuerySpec> specs = MakeVariantSpecs(w, 20);
   for (size_t i = 0; i < specs.size(); ++i) {
-    QuerySpec spec = specs[i];
+    const QuerySpec& spec = specs[i];
     const uint64_t seed = 1000 + i;
 
-    spec.parallel_sampling = false;
     ws_off.ReseedRng(seed);
     const CodResult off = core.Query(spec, ws_off);
 
-    spec.parallel_sampling = true;
     ws_one.ReseedRng(seed);
     const CodResult one = core.Query(spec, ws_one);
     ws_eight.ReseedRng(seed);
@@ -107,7 +105,7 @@ TEST(ParallelSamplingTest, QueryBitIdenticalAcrossSamplingModes) {
   }
 }
 
-TEST(ParallelSamplingTest, EvaluateConsumesExactlyOneDrawPerCall) {
+TEST(SamplingPoolTest, EvaluateConsumesExactlyOneDrawPerCall) {
   const World w = MakeWorld(2);
   EngineOptions options;
   options.theta = 4;
@@ -124,7 +122,7 @@ TEST(ParallelSamplingTest, EvaluateConsumesExactlyOneDrawPerCall) {
   EXPECT_EQ(used.Next(), skipped.Next());
 }
 
-TEST(ParallelSamplingTest, BatchBitIdenticalAcrossThreadCountsWithScheduler) {
+TEST(SamplingPoolTest, BatchBitIdenticalAcrossThreadCountsWithScheduler) {
   const World w = MakeWorld(3);
   EngineOptions options;
   options.theta = 6;
@@ -166,7 +164,7 @@ TEST(ParallelSamplingTest, BatchBitIdenticalAcrossThreadCountsWithScheduler) {
   }
 }
 
-TEST(ParallelSamplingTest, EvaluateOnWorkerThreadMatchesSerial) {
+TEST(SamplingPoolTest, EvaluateOnWorkerThreadMatchesSerial) {
   // Evaluating from inside a scheduler worker, handing that same scheduler
   // as the sampling scheduler, must produce bit-identical results to a
   // plain serial evaluation. The old flat pool handled this case by
@@ -208,7 +206,7 @@ TEST(ParallelSamplingTest, EvaluateOnWorkerThreadMatchesSerial) {
   }
 }
 
-TEST(ParallelSamplingTest, SlabPoolStopsGrowingAfterWarmup) {
+TEST(SamplingPoolTest, SlabPoolStopsGrowingAfterWarmup) {
   const World w = MakeWorld(5);
   EngineOptions options;
   options.theta = 6;
@@ -251,7 +249,7 @@ TEST(ParallelSamplingTest, SlabPoolStopsGrowingAfterWarmup) {
   EXPECT_EQ(ws.evaluator().slab_growth_events(), warmed);
 }
 
-TEST(ParallelSamplingTest, ExpiredBudgetMidPoolLeavesWorkspaceReusable) {
+TEST(SamplingPoolTest, ExpiredBudgetMidPoolLeavesWorkspaceReusable) {
   const World w = MakeWorld(6);
   EngineOptions options;
   options.theta = 6;

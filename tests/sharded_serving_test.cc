@@ -439,6 +439,23 @@ TEST(ShardDegradationTest, DeadlineMissedShardDegradesDeterministically) {
 // Cross-shard updates.
 // ---------------------------------------------------------------------------
 
+// The mono and sharded batch runners share one chunk body, so a sharded
+// batch observes its chunks' queue wait like a mono one does.
+TEST(ShardedBatchTest, QueueToStartHistogramSeesShardedChunks) {
+  World w = MakeMultiWorld(41, 2);
+  const std::vector<QuerySpec> specs = MakeSpecs(w.attrs, 8, 42);
+  ShardedCodService service(std::move(w.graph), std::move(w.attrs),
+                            BaseOptions(2));
+  Histogram* queue_wait = MetricsRegistry::Instance().GetHistogram(
+      "cod_batch_queue_to_start_seconds");
+  const uint64_t before = queue_wait->Count();
+  TaskScheduler scheduler(2);
+  const std::vector<CodResult> results = service.QueryBatch(
+      specs, scheduler, /*batch_seed=*/1, BatchOptions{}, nullptr);
+  ASSERT_EQ(results.size(), specs.size());
+  EXPECT_GT(queue_wait->Count(), before);
+}
+
 TEST(ShardedUpdateTest, CrossShardEdgeIsRejectedAndCounted) {
   World w = MakeMultiWorld(40, 2);
   ShardedCodService service(std::move(w.graph), std::move(w.attrs),
